@@ -5,7 +5,8 @@
 // where wall_s is measured wall-clock on this host (2 cores => weak-scaling
 // lines slope up with simulated locale count) and model_s is the simulated
 // elapsed time from the runtime's latency model (the paper-shaped column).
-// See EXPERIMENTS.md for the reading guide.
+// See perfbench/README.md for the reading guide to the repository's
+// end-to-end and per-layer metrics.
 //
 // Scaling: all op counts multiply by --scale (env PGASNB_BENCH_SCALE,
 // default 1.0); locale sweeps cap at --max-locales (env PGASNB_MAX_LOCALES,

@@ -18,13 +18,18 @@ int Arena::classIndex(std::size_t size) noexcept {
   return std::countr_zero(rounded) - std::countr_zero(kMinBlock);
 }
 
-void* Arena::allocate(std::size_t size) {
+void* Arena::allocate(std::size_t size, std::size_t align) {
+  PGASNB_CHECK_MSG(std::has_single_bit(align) && align <= kMaxBlock,
+                   "allocation alignment must be a power of two <= max block");
   const int cls = classIndex(size);
   SizeClass& sc = *classes_[cls];
   {
     std::lock_guard<std::mutex> guard(sc.lock);
-    if (sc.head != nullptr) {
-      FreeNode* node = sc.head;
+    // A recycled block keeps the alignment of whoever bumped it (always at
+    // least 16); an over-aligned request only takes a head that fits.
+    FreeNode* node = sc.head;
+    if (node != nullptr &&
+        (reinterpret_cast<std::uintptr_t>(node) & (align - 1)) == 0) {
       sc.head = node->next;
       node->magic = 0;  // un-poison; block is live again
       allocated_.fetch_add(1, std::memory_order_relaxed);
@@ -32,7 +37,18 @@ void* Arena::allocate(std::size_t size) {
     }
   }
   const std::size_t block = classSize(cls);
-  const std::size_t offset = bump_.fetch_add(block, std::memory_order_relaxed);
+  std::size_t offset;
+  if (align <= kMinBlock) {
+    offset = bump_.fetch_add(block, std::memory_order_relaxed);
+  } else {
+    // Pad the bump pointer up to `align` (the padding is never reused).
+    const auto base = reinterpret_cast<std::uintptr_t>(base_);
+    std::size_t cur = bump_.load(std::memory_order_relaxed);
+    do {
+      offset = ((base + cur + align - 1) & ~(align - 1)) - base;
+    } while (!bump_.compare_exchange_weak(cur, offset + block,
+                                          std::memory_order_relaxed));
+  }
   PGASNB_CHECK_MSG(offset + block <= bytes_,
                    "locale arena exhausted; raise arena_bytes_per_locale");
   allocated_.fetch_add(1, std::memory_order_relaxed);

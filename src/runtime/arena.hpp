@@ -32,9 +32,11 @@ class Arena {
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
 
-  /// Allocates `size` bytes (aligned to 16). Aborts if the arena is full --
-  /// arenas are sized for the workload, not paged out.
-  void* allocate(std::size_t size);
+  /// Allocates `size` bytes aligned to `align` (a power of two; requests
+  /// at or below 16 get 16). Only over-aligned requests pay padding on the
+  /// bump pointer. Aborts if the arena is full -- arenas are sized for the
+  /// workload, not paged out.
+  void* allocate(std::size_t size, std::size_t align = kMinBlock);
 
   /// Returns a block to the arena. Must be called on the owning locale; the
   /// caller guarantees `size` matches the original allocation request.

@@ -24,12 +24,6 @@ struct AtomicCounters {
   std::atomic<std::uint64_t> continuations_stolen{0};
   std::atomic<std::uint64_t> backpressure_stalls{0};
   std::atomic<std::uint64_t> deferred_peak{0};
-  std::atomic<std::uint64_t> tuner_batch_resizes{0};
-  std::atomic<std::uint64_t> tuner_slice_adjusts{0};
-  std::atomic<std::uint64_t> steal_depth_hits{0};
-  std::atomic<std::uint64_t> steal_random_fallbacks{0};
-  std::atomic<std::uint64_t> tuner_effective_batch{0};
-  std::atomic<std::uint64_t> tuner_park_slice_us{0};
   std::atomic<std::uint64_t> puts{0};
   std::atomic<std::uint64_t> gets{0};
   std::atomic<std::uint64_t> dcas_local{0};
@@ -253,20 +247,6 @@ void noteCqDrained() noexcept { bump(g_counters.cq_drained); }
 void noteCqStolen() noexcept { bump(g_counters.cq_stolen); }
 void noteContinuationStolen() noexcept {
   bump(g_counters.continuations_stolen);
-}
-
-void noteStealDepthHit() noexcept { bump(g_counters.steal_depth_hits); }
-void noteStealFallback() noexcept { bump(g_counters.steal_random_fallbacks); }
-
-void noteTunerBatchResize(std::size_t effective_batch) noexcept {
-  bump(g_counters.tuner_batch_resizes);
-  g_counters.tuner_effective_batch.store(effective_batch,
-                                         std::memory_order_relaxed);
-}
-
-void noteTunerSliceAdjust(std::uint32_t slice_us) noexcept {
-  bump(g_counters.tuner_slice_adjusts);
-  g_counters.tuner_park_slice_us.store(slice_us, std::memory_order_relaxed);
 }
 
 void noteDeferredDepth(std::size_t depth) noexcept {
@@ -705,26 +685,10 @@ void Aggregator::adoptRuntime() {
     total_pending_ = 0;
     next_age_deadline_ = kNoDeadline;
     runtime_generation_ = rt.generation();
-    const RuntimeConfig& cfg = rt.config();
-    max_batch_age_ns_ = cfg.aggregator_max_batch_age_ns;
+    max_batch_age_ns_ = rt.config().aggregator_max_batch_age_ns;
     if (!configured_) {
-      ops_per_batch_ = cfg.aggregator_ops_per_batch;
+      ops_per_batch_ = rt.config().aggregator_ops_per_batch;
     }
-    if (ops_per_batch_ == 0) ops_per_batch_ = 1;
-    // (Re)arm the adaptive batch-sizing policy for this runtime generation.
-    // Only the thread's *task* aggregator adapts ("each task Aggregator"):
-    // a hand-made Aggregator with an explicit threshold is a hand-tuned
-    // instrument and keeps its number bit-for-bit, as does every
-    // aggregator under TuningMode::static_.
-    tuner::BatchTuner::Config tc;
-    tc.base_batch = ops_per_batch_;
-    tc.base_age_ns = max_batch_age_ns_;
-    tc.min_batch = cfg.tuner_batch_min;
-    tc.max_batch = cfg.tuner_batch_max;
-    tc.batch_overhead_ns = cfg.latency.am_wire_ns + cfg.latency.am_service_ns;
-    tc.adaptive = cfg.tuning_mode == TuningMode::adaptive && !configured_ &&
-                  this == &taskAggregator();
-    tuner_.reset(tc);
   }
   if (ops_per_batch_ == 0) ops_per_batch_ = 1;
 }
@@ -783,7 +747,7 @@ void Aggregator::enqueueWithCore(std::uint32_t loc, std::function<void()> op,
   }
   ++total_pending_;
   if (bucket.ops.size() >= ops_per_batch_ && !holdForBackpressure(loc)) {
-    flushForCause(loc, FlushCause::threshold);
+    flush(loc);
   }
   // O(1) age check per enqueue: the full bucket sweep only runs once the
   // earliest deadline across all buckets has actually passed.
@@ -811,10 +775,6 @@ bool Aggregator::holdForBackpressure(std::uint32_t loc) {
 }
 
 void Aggregator::flush(std::uint32_t loc) {
-  flushForCause(loc, FlushCause::explicit_);
-}
-
-void Aggregator::flushForCause(std::uint32_t loc, FlushCause cause) {
   if (loc >= buckets_.size() || buckets_[loc].ops.empty()) return;
   Runtime& rt = Runtime::get();
   PGASNB_CHECK_MSG(rt.generation() == runtime_generation_,
@@ -822,23 +782,6 @@ void Aggregator::flushForCause(std::uint32_t loc, FlushCause cause) {
   Bucket& bucket = buckets_[loc];
   total_pending_ -= bucket.ops.size();
   bump(g_counters.am_batched);
-  // Feed threshold/age-shipped batches to the tuner: ops and the simulated
-  // span from first enqueue to ship. Explicit flushes carry no rate signal
-  // (see FlushCause) and are not observed; neither is anything shipped
-  // while an OpWindow is open on this thread -- window-joined ops are
-  // flushed and joined at window close whatever the threshold says, so
-  // their production gaps would only pollute the streaming-rate EWMA with
-  // another phase's shape. When an observation moves the amortization
-  // knee, adopt the new threshold/age for every later batch (the
-  // backpressure valve in holdForBackpressure tracks it automatically).
-  if (cause != FlushCause::explicit_ && OpWindow::current() == nullptr &&
-      tuner_.adaptive() &&
-      tuner_.observeBatch(bucket.ops.size(),
-                          sim::now() - bucket.first_op_time)) {
-    ops_per_batch_ = tuner_.effectiveBatch();
-    max_batch_age_ns_ = tuner_.effectiveAgeNs();
-    detail::noteTunerBatchResize(ops_per_batch_);
-  }
   // The ops are in flight from here on: nobody should try to flush them
   // out of this aggregator again.
   for (const auto& core : bucket.cores) {
@@ -874,7 +817,7 @@ void Aggregator::flushAged() {
     if (bucket.ops.empty()) continue;
     const std::uint64_t deadline = bucket.first_op_time + max_batch_age_ns_;
     if (now >= deadline) {
-      flushForCause(loc, FlushCause::aged);
+      flush(loc);
     } else {
       next = std::min(next, deadline);
     }
@@ -907,18 +850,6 @@ Counters counters() noexcept {
       g_counters.backpressure_stalls.load(std::memory_order_relaxed);
   snapshot.deferred_peak =
       g_counters.deferred_peak.load(std::memory_order_relaxed);
-  snapshot.tuner_batch_resizes =
-      g_counters.tuner_batch_resizes.load(std::memory_order_relaxed);
-  snapshot.tuner_slice_adjusts =
-      g_counters.tuner_slice_adjusts.load(std::memory_order_relaxed);
-  snapshot.steal_depth_hits =
-      g_counters.steal_depth_hits.load(std::memory_order_relaxed);
-  snapshot.steal_random_fallbacks =
-      g_counters.steal_random_fallbacks.load(std::memory_order_relaxed);
-  snapshot.tuner_effective_batch =
-      g_counters.tuner_effective_batch.load(std::memory_order_relaxed);
-  snapshot.tuner_park_slice_us =
-      g_counters.tuner_park_slice_us.load(std::memory_order_relaxed);
   snapshot.puts = g_counters.puts.load(std::memory_order_relaxed);
   snapshot.gets = g_counters.gets.load(std::memory_order_relaxed);
   snapshot.dcas_local = g_counters.dcas_local.load(std::memory_order_relaxed);
@@ -940,12 +871,6 @@ void resetCounters() noexcept {
   g_counters.continuations_stolen.store(0, std::memory_order_relaxed);
   g_counters.backpressure_stalls.store(0, std::memory_order_relaxed);
   g_counters.deferred_peak.store(0, std::memory_order_relaxed);
-  g_counters.tuner_batch_resizes.store(0, std::memory_order_relaxed);
-  g_counters.tuner_slice_adjusts.store(0, std::memory_order_relaxed);
-  g_counters.steal_depth_hits.store(0, std::memory_order_relaxed);
-  g_counters.steal_random_fallbacks.store(0, std::memory_order_relaxed);
-  g_counters.tuner_effective_batch.store(0, std::memory_order_relaxed);
-  g_counters.tuner_park_slice_us.store(0, std::memory_order_relaxed);
   g_counters.puts.store(0, std::memory_order_relaxed);
   g_counters.gets.store(0, std::memory_order_relaxed);
   g_counters.dcas_local.store(0, std::memory_order_relaxed);

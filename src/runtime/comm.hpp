@@ -64,7 +64,6 @@
 
 #include "runtime/drain_group.hpp"
 #include "runtime/runtime.hpp"
-#include "runtime/tuner.hpp"
 #include "util/backoff.hpp"
 #include "util/check.hpp"
 
@@ -191,43 +190,6 @@ void throttleDeferredBacklog();
 /// The bounded parking slice consumers wait per probe round
 /// (RuntimeConfig::cq_park_slice_us; 200us without a runtime, never 0).
 std::chrono::microseconds cqParkSlice() noexcept;
-
-/// Per-queue parking slice (runtime/tuner.cpp): the configured base slice
-/// in static tuning mode; under TuningMode::adaptive, scaled to the
-/// queue's observed completion inter-arrival EWMA and clamped to
-/// [base/8 (>= 1), 4x base] -- hot queues poll tightly, quiet queues
-/// sleep. Slice *changes* are counted in tuner_slice_adjusts.
-std::chrono::microseconds cqParkSliceFor(CqShared& q) noexcept;
-
-/// Tuner counter hooks (counters live in comm.cpp): a published adaptive
-/// batch resize (records the new effective size too) and an adaptive
-/// park-slice change (records the new slice).
-void noteTunerBatchResize(std::size_t effective_batch) noexcept;
-void noteTunerSliceAdjust(std::uint32_t slice_us) noexcept;
-
-/// Record one completion push into `q`'s arrival telemetry: publishes the
-/// new ready depth and folds the wall-clock gap since the previous push
-/// into the queue's inter-arrival EWMA (alpha 1/8). Caller holds q.lock.
-inline void noteCqPushLocked(CqShared& q) noexcept {
-  q.ready_depth.store(static_cast<std::uint32_t>(q.ready.size()),
-                      std::memory_order_relaxed);
-  const auto now_ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-  if (q.last_push_wall_ns != 0 && now_ns > q.last_push_wall_ns) {
-    const std::uint64_t gap = now_ns - q.last_push_wall_ns;
-    const std::uint64_t prev = q.ewma_gap_ns.load(std::memory_order_relaxed);
-    // Integer EWMA, alpha 1/8; never decays a seeded value back to the
-    // "unseeded" 0 sentinel.
-    std::uint64_t next = prev == 0 ? gap
-                         : gap >= prev ? prev + (gap - prev) / 8
-                                       : prev - (prev - gap) / 8;
-    if (next == 0) next = 1;
-    q.ewma_gap_ns.store(next, std::memory_order_relaxed);
-  }
-  q.last_push_wall_ns = now_ns;
-}
 
 // Counter hooks for the header-only combinators (the counters themselves
 // live in comm.cpp).
@@ -553,14 +515,13 @@ Handle<> whenAll(std::vector<Handle<T>>& handles) {
 /// since PR 4 so may consumers -- N worker tasks per locale can share one
 /// queue, each blocking in next() and waking per completion; every drained
 /// completion is delivered to exactly one consumer, which folds its join
-/// time. `nextFrom(other)` adds a pairwise work-stealing drain;
-/// `enrollLocal()` + `nextAny()` generalize it to the whole locale: the
-/// queue registers with its locale's DrainGroup and a consumer steals a
-/// ready completion from *any* enrolled sibling when its own queue runs
-/// empty (randomized victim order, bounded parking). Watched handles keep
-/// the queue's shared state alive, so dropping the queue with watches
-/// outstanding is safe -- the late completions are simply discarded (and
-/// the destructor unenrolls from the drain group).
+/// time. `enrollLocal()` + `nextAny()` add a locale-wide work-stealing
+/// drain: the queue registers with its locale's DrainGroup and a consumer
+/// steals a ready completion from *any* enrolled sibling when its own
+/// queue runs empty (randomized victim order, bounded parking). Watched
+/// handles keep the queue's shared state alive, so dropping the queue
+/// with watches outstanding is safe -- the late completions are simply
+/// discarded (and the destructor unenrolls from the drain group).
 ///
 /// A consumer about to block first ships anything buffered in its *own*
 /// task Aggregator, so draining a window of aggregated ops needs no manual
@@ -625,18 +586,12 @@ class CompletionQueue {
     {
       std::lock_guard<std::mutex> g(state_->lock);
       ++state_->outstanding;
-      state_->outstanding_hint.store(
-          static_cast<std::uint32_t>(state_->outstanding),
-          std::memory_order_relaxed);
     }
     detail::addCompletionWaiter(
         *core, [s = state_, tag](std::uint64_t join) {
           {
             std::lock_guard<std::mutex> g(s->lock);
             s->ready.push_back({tag, join});
-            // Publish depth + fold the push inter-arrival gap for the
-            // self-tuning control loop (two-choice steals, park slices).
-            detail::noteCqPushLocked(*s);
           }
           s->cv.notify_all();
         });
@@ -669,13 +624,7 @@ class CompletionQueue {
     if (state_->ready.empty()) return false;
     const auto [tag, join] = state_->ready.front();
     state_->ready.pop_front();
-    state_->ready_depth.store(
-        static_cast<std::uint32_t>(state_->ready.size()),
-        std::memory_order_relaxed);
     const bool drained_out = --state_->outstanding == 0;
-    state_->outstanding_hint.store(
-        static_cast<std::uint32_t>(state_->outstanding),
-        std::memory_order_relaxed);
     g.unlock();
     // Release sibling consumers blocked on the now-impossible "more work
     // will arrive" predicate.
@@ -684,31 +633,6 @@ class CompletionQueue {
     sim::joinAtLeast(join);
     tag_out = tag;
     return true;
-  }
-
-  /// Work-stealing drain: pop from this queue when something is ready,
-  /// otherwise *steal* a ready completion from `other` (never blocking on
-  /// it). Blocks -- in bounded slices, so steals stay responsive -- while
-  /// either queue has watches outstanding; returns nullopt once neither
-  /// has anything ready nor outstanding. The stolen completion's join time
-  /// folds into the *stealer's* clock, like any drain.
-  std::optional<std::uint64_t> nextFrom(CompletionQueue& other) {
-    for (;;) {
-      std::uint64_t tag = 0;
-      if (tryNext(tag)) return tag;
-      if (other.tryNext(tag)) {
-        detail::noteCqStolen();
-        return tag;
-      }
-      if (outstanding() == 0 && other.outstanding() == 0) return std::nullopt;
-      detail::flushTaskAggregatorForDrain();
-      if (detail::helpOneDeferred()) continue;
-      // Park on whichever queue can still produce for us: our own while it
-      // has outstanding watches, else the victim's. Bounded wait, so a
-      // completion landing only in the other queue is picked up within a
-      // slice even though we hold neither lock while parked there.
-      parkOn(outstanding() != 0 ? *this : other);
-    }
   }
 
   /// Locale-wide work-stealing drain: pop from this queue when something
@@ -757,8 +681,7 @@ class CompletionQueue {
       // queue must sleep, not busy-probe its victims. The park probe
       // doubles as the "any sibling outstanding?" half of the termination
       // predicate (one registry snapshot instead of two).
-      if (group->parkOnAnySibling(state_.get(),
-                                  detail::cqParkSliceFor(*state_))) {
+      if (group->parkOnAnySibling(state_.get(), detail::cqParkSlice())) {
         continue;
       }
       if (!group->hasDeferred()) return std::nullopt;  // group quiescent
@@ -788,13 +711,10 @@ class CompletionQueue {
   }
 
   /// One bounded parking slice on `q`'s condition variable (woken early by
-  /// a completion landing there or its outstanding count reaching 0). The
-  /// slice is per-queue: adaptive tuning scales it to the queue's observed
-  /// completion inter-arrival EWMA (static mode keeps the configured base).
+  /// a completion landing there or its outstanding count reaching 0).
   static void parkOn(CompletionQueue& q) {
-    const auto slice = detail::cqParkSliceFor(*q.state_);
     std::unique_lock<std::mutex> g(q.state_->lock);
-    q.state_->cv.wait_for(g, slice, [&] {
+    q.state_->cv.wait_for(g, detail::cqParkSlice(), [&] {
       return !q.state_->ready.empty() || q.state_->outstanding == 0;
     });
   }
@@ -995,17 +915,8 @@ class Aggregator {
   /// pending() count -- the drain scheduler's helped-body flush gate.
   std::uint64_t bufferedEnqueues() const noexcept { return buffered_enqueues_; }
 
-  /// The *effective* batch threshold. Starts at the configured value; under
-  /// TuningMode::adaptive the task aggregator resizes it toward the
-  /// amortization knee at each flush observation (see runtime/tuner.hpp).
-  /// Hand-made aggregators (explicit ops_per_batch) and static mode keep
-  /// the configured value for the whole run. The backpressure overflow
-  /// valve (4x) tracks this effective value, not the config.
   std::size_t opsPerBatch() const noexcept { return ops_per_batch_; }
-
-  /// The adaptive batch-sizing policy state (diagnostics and tests): gap
-  /// EWMA, clamp bounds, whether this aggregator adapts at all.
-  const tuner::BatchTuner& batchTuner() const noexcept { return tuner_; }
+  std::uint64_t maxBatchAgeNs() const noexcept { return max_batch_age_ns_; }
 
  private:
   struct Bucket {
@@ -1021,23 +932,6 @@ class Aggregator {
   /// runtime generation (their closures reference dead objects).
   void adoptRuntime();
 
-  /// Why a bucket is shipping. Only threshold and age flushes inform the
-  /// batch tuner: they mark a bucket whose fill rate was measured against
-  /// the current threshold (full before the age budget, or aged out with
-  /// room left). An explicit flush (manual flush/flushAll, OpWindow close,
-  /// guard unpin, destruction) ships whatever happens to be buffered --
-  /// the bucket's span says nothing about the producer's rate, and ops
-  /// riding a closing window never paid a buffering delay worth shrinking
-  /// the threshold over. For the same reason flushForCause() also skips
-  /// the tuner while an OpWindow is open on the thread, whatever the
-  /// cause: windowed phases ship at window close regardless, so their
-  /// gaps describe a different regime than the streaming traffic the
-  /// threshold exists for.
-  enum class FlushCause { threshold, aged, explicit_ };
-
-  /// flush(loc) with an attributed cause (internal call sites).
-  void flushForCause(std::uint32_t loc, FlushCause cause);
-
   /// Backpressure: true when a threshold-full bucket for `loc` should keep
   /// buffering because the destination's deferred-continuation queue is
   /// saturated (see RuntimeConfig::drain_deferred_cap). Aged and explicit
@@ -1049,10 +943,6 @@ class Aggregator {
   std::size_t ops_per_batch_;
   bool configured_;
   std::uint64_t max_batch_age_ns_ = 0;
-  /// Adaptive batch sizing (armed at adoptRuntime for the task aggregator
-  /// under TuningMode::adaptive; inert otherwise). flush() feeds it each
-  /// shipped batch and republishes ops_per_batch_/max_batch_age_ns_.
-  tuner::BatchTuner tuner_;
   /// Earliest (first_op_time + max age) across non-empty buckets; enqueues
   /// only pay the full aged-bucket sweep once this has passed.
   std::uint64_t next_age_deadline_ = kNoDeadline;
@@ -1192,7 +1082,7 @@ struct Counters {
   std::uint64_t handles_chained = 0; ///< combinator handles (then/whenAll)
   std::uint64_t cq_drained = 0;      ///< completions popped from CompletionQueues
   std::uint64_t cq_stolen = 0;       ///< completions taken from a sibling queue
-                                     ///< (nextFrom / DrainGroup::stealReady)
+                                     ///< (DrainGroup::stealReady)
   std::uint64_t continuations_stolen = 0;  ///< deferred ExecPolicy::worker
                                            ///< bodies executed by task threads
   std::uint64_t backpressure_stalls = 0;   ///< throttle engagements: issuers
@@ -1200,19 +1090,8 @@ struct Counters {
                                            ///< deferred queue
   std::uint64_t deferred_peak = 0;         ///< deepest any locale's deferred
                                            ///< queue has been (high-water)
-  std::uint64_t tuner_batch_resizes = 0;   ///< adaptive batch-threshold
-                                           ///< publishes (task aggregators)
-  std::uint64_t tuner_slice_adjusts = 0;   ///< adaptive park-slice changes
-                                           ///< across all CompletionQueues
-  std::uint64_t steal_depth_hits = 0;      ///< two-choice steals that landed
-                                           ///< on the deeper-scored victim
-  std::uint64_t steal_random_fallbacks = 0;///< two-choice rounds that fell
-                                           ///< back to randomized rotation
-                                           ///< (tie or pick raced empty)
-  std::uint64_t tuner_effective_batch = 0; ///< gauge: last published
-                                           ///< effective batch threshold
-  std::uint64_t tuner_park_slice_us = 0;   ///< gauge: last adaptive park
-                                           ///< slice computed (us)
+  std::uint64_t tuner_batch_resizes = 0;   ///< always 0 (batching is static);
+                                           ///< kept while perfbench reads it
   std::uint64_t puts = 0;
   std::uint64_t gets = 0;
   std::uint64_t dcas_local = 0;

@@ -72,25 +72,6 @@ ReclaimMode parseReclaimMode(const std::string& text, ReclaimMode def) {
   return def;
 }
 
-const char* toString(TuningMode mode) noexcept {
-  switch (mode) {
-    case TuningMode::static_:
-      return "static";
-    case TuningMode::adaptive:
-      return "adaptive";
-  }
-  return "?";
-}
-
-TuningMode parseTuningMode(const std::string& text, TuningMode def) {
-  std::string lower(text);
-  std::transform(lower.begin(), lower.end(), lower.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  if (lower == "static" || lower == "off") return TuningMode::static_;
-  if (lower == "adaptive" || lower == "on") return TuningMode::adaptive;
-  return def;
-}
-
 namespace {
 
 const char* envOrNull(const char* name) { return std::getenv(name); }
@@ -133,17 +114,6 @@ RuntimeConfig RuntimeConfig::fromEnv() {
     cfg.cq_park_slice_us =
         static_cast<std::uint32_t>(std::strtoul(v, nullptr, 0));
   }
-  if (const char* v = envOrNull("PGASNB_TUNING")) {
-    cfg.tuning_mode = parseTuningMode(v, cfg.tuning_mode);
-  }
-  if (const char* v = envOrNull("PGASNB_TUNER_BATCH_MIN")) {
-    cfg.tuner_batch_min =
-        static_cast<std::uint32_t>(std::strtoul(v, nullptr, 0));
-  }
-  if (const char* v = envOrNull("PGASNB_TUNER_BATCH_MAX")) {
-    cfg.tuner_batch_max =
-        static_cast<std::uint32_t>(std::strtoul(v, nullptr, 0));
-  }
   if (const char* v = envOrNull("PGASNB_RECLAIM_MODE")) {
     cfg.reclaim_mode = parseReclaimMode(v, cfg.reclaim_mode);
   }
@@ -171,7 +141,6 @@ std::string RuntimeConfig::describe() const {
      << " comm=" << toString(comm_mode)
      << " retire=" << toString(remote_retire)
      << " reclaim=" << toString(reclaim_mode)
-     << " tuning=" << toString(tuning_mode)
      << " drain_cap=" << drain_deferred_cap
      << " rh_resize_load=" << rh_resize_load
      << " rh_migrate_chunk=" << rh_migrate_chunk

@@ -69,30 +69,6 @@ const char* toString(ReclaimMode mode) noexcept;
 ReclaimMode parseReclaimMode(const std::string& text,
                              ReclaimMode def = ReclaimMode::ebr);
 
-/// Whether the runtime's self-tuning control loop (runtime/tuner.hpp) is
-/// closed:
-///   * static_  - every knob keeps its configured value for the whole run:
-///                aggregator batch threshold/age, CompletionQueue park
-///                slice, and uniform-random steal-victim rotation behave
-///                exactly as they did before the tuner existed.
-///   * adaptive - the runtime observes itself and retunes: each task
-///                Aggregator resizes its batch threshold (and age cutoff)
-///                toward the amortization knee implied by the EWMA of
-///                observed per-op enqueue gaps (Hart et al., IPDPS'06);
-///                DrainGroup steals pick victims by published ready depth
-///                (power-of-two-choices); CompletionQueue park slices track
-///                the EWMA of completion inter-arrival times.
-enum class TuningMode : std::uint8_t {
-  static_,
-  adaptive,
-};
-
-const char* toString(TuningMode mode) noexcept;
-
-/// Parses "static"/"adaptive" (case-insensitive); falls back to `def`.
-TuningMode parseTuningMode(const std::string& text,
-                           TuningMode def = TuningMode::adaptive);
-
 struct RuntimeConfig {
   /// Number of simulated locales (compute nodes). The pointer-compression
   /// scheme supports up to 2^16; see atomic/pointer_compression.hpp.
@@ -124,14 +100,14 @@ struct RuntimeConfig {
   /// AM is injected (0 is treated as 1).
   std::uint32_t aggregator_ops_per_batch = 64;
 
-  /// comm::Aggregator adaptive flush: an under-filled bucket ships once its
+  /// comm::Aggregator age flush: an under-filled bucket ships once its
   /// oldest buffered op is this many *simulated* nanoseconds old (checked
   /// at each enqueue and on flushAged()), instead of waiting for
   /// batch-full/unpin. 0 disables age-based flushing.
   std::uint64_t aggregator_max_batch_age_ns = 100'000;
 
   /// Completion-surface parking slice (*wall-clock* microseconds): how long
-  /// a CompletionQueue consumer (next/nextAny/nextFrom) parks per slice
+  /// a CompletionQueue consumer (next/nextAny) parks per slice
   /// before re-probing for steals / deferred continuations. Smaller = more
   /// responsive stealing, more wakeups; 0 is clamped to 1. (Idle locale
   /// workers don't poll on this -- they block on their task queue and are
@@ -145,19 +121,6 @@ struct RuntimeConfig {
   /// queue reaches half this depth, so the bound holds despite in-flight
   /// batches. 0 = uncapped (no throttling).
   std::uint32_t drain_deferred_cap = 4096;
-
-  /// Self-tuning control loop (see TuningMode). `adaptive` closes the
-  /// feedback loop over the comm counters; `static` preserves the exact
-  /// pre-tuner behavior of every knob above.
-  TuningMode tuning_mode = TuningMode::adaptive;
-
-  /// Adaptive batch sizing: clamp bounds for the effective batch threshold
-  /// a task Aggregator may tune itself to. The configured
-  /// aggregator_ops_per_batch stays the starting point either way; resizes
-  /// never leave [tuner_batch_min, tuner_batch_max]. min 0 is treated as 1;
-  /// max below min is raised to min.
-  std::uint32_t tuner_batch_min = 8;
-  std::uint32_t tuner_batch_max = 1024;
 
   /// RobinHoodMap: per-segment load factor that starts an incremental
   /// doubling (shadow table + chunked migration). <= 0 disables resize, so
@@ -183,8 +146,7 @@ struct RuntimeConfig {
   /// PGASNB_INJECT_DELAYS, PGASNB_DELAY_SCALE, PGASNB_REMOTE_RETIRE,
   /// PGASNB_RECLAIM_MODE, PGASNB_INTERVAL_ERA_FREQ, PGASNB_RETIRE_BATCH,
   /// PGASNB_AGG_OPS_PER_BATCH, PGASNB_AGG_MAX_BATCH_AGE,
-  /// PGASNB_CQ_PARK_SLICE, PGASNB_DRAIN_DEFERRED_CAP, PGASNB_TUNING,
-  /// PGASNB_TUNER_BATCH_MIN, PGASNB_TUNER_BATCH_MAX,
+  /// PGASNB_CQ_PARK_SLICE, PGASNB_DRAIN_DEFERRED_CAP,
   /// PGASNB_RH_RESIZE_LOAD, PGASNB_RH_MIGRATE_CHUNK on top of the
   /// defaults.
   static RuntimeConfig fromEnv();

@@ -45,8 +45,6 @@ Runtime::Runtime(RuntimeConfig config)
         l, heap_base_ + static_cast<std::size_t>(l) * per_locale_bytes_,
         per_locale_bytes_, config_.workers_per_locale));
     locales_.back()->drainGroup().setDeferredCap(config_.drain_deferred_cap);
-    locales_.back()->drainGroup().setTuningAdaptive(config_.tuning_mode ==
-                                                    TuningMode::adaptive);
   }
   // Threads are started only after the locale table is complete: progress
   // threads and workers call Runtime::get() and locale() freely.
@@ -94,8 +92,9 @@ bool Runtime::inGlobalHeap(const void* p) const noexcept {
   return b >= heap_base_ && b < heap_base_ + heap_bytes_;
 }
 
-void* Runtime::allocateOn(std::uint32_t locale_id, std::size_t bytes) {
-  return locale(locale_id).arena().allocate(bytes);
+void* Runtime::allocateOn(std::uint32_t locale_id, std::size_t bytes,
+                          std::size_t align) {
+  return locale(locale_id).arena().allocate(bytes, align);
 }
 
 void Runtime::deallocateLocal(void* p, std::size_t bytes) {

@@ -57,7 +57,8 @@ class Runtime {
   /// True if `p` lies inside the partitioned heap.
   bool inGlobalHeap(const void* p) const noexcept;
 
-  void* allocateOn(std::uint32_t locale_id, std::size_t bytes);
+  void* allocateOn(std::uint32_t locale_id, std::size_t bytes,
+                   std::size_t align = Arena::kMinBlock);
   void deallocateLocal(void* p, std::size_t bytes);
 
   /// Allocate + construct on a specific locale's arena. Note: the
@@ -65,7 +66,7 @@ class Runtime {
   /// Runtime::here() in their constructor should be built via onLocale.
   template <typename T, typename... Args>
   T* newOn(std::uint32_t locale_id, Args&&... args) {
-    void* mem = allocateOn(locale_id, sizeof(T));
+    void* mem = allocateOn(locale_id, sizeof(T), alignof(T));
     return ::new (mem) T(std::forward<Args>(args)...);
   }
 

@@ -1,11 +1,13 @@
 // Per-locale arena allocator: size classes, recycling, poisoning, ownership.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <set>
 #include <thread>
 #include <vector>
 
+#include "epoch/token.hpp"
 #include "test_support.hpp"
 
 namespace pgasnb {
@@ -120,6 +122,48 @@ TEST_F(ArenaTest, ManyAllocationsAreDistinct) {
     blocks.push_back(p);
   }
   for (void* p : blocks) arena.deallocate(p, 24);
+}
+
+bool alignedTo(const void* p, std::size_t align) {
+  return reinterpret_cast<std::uintptr_t>(p) % align == 0;
+}
+
+TEST_F(ArenaTest, GnewHonorsOverAlignedTypes) {
+  startRuntime(1);
+  Arena& arena = runtime_->locale(0).arena();
+  std::vector<void*> pads;
+  std::vector<Token*> tokens;
+  for (int i = 0; i < 8; ++i) {
+    pads.push_back(arena.allocate(16));  // nudge the bump pointer off 64
+    tokens.push_back(gnew<Token>());
+    EXPECT_TRUE(alignedTo(tokens.back(), alignof(Token)))
+        << "Token #" << i << " at " << tokens.back();
+  }
+  for (Token* t : tokens) gdelete(t);
+  for (void* p : pads) arena.deallocate(p, 16);
+}
+
+TEST_F(ArenaTest, OverAlignedRequestSkipsAMisalignedRecycledBlock) {
+  startRuntime(1);
+  Arena& arena = runtime_->locale(0).arena();
+  // Bump 16-byte blocks until the next bump position is off a 64-byte line.
+  while (alignedTo(static_cast<std::byte*>(arena.allocate(16)) + 16, 64)) {
+  }
+  // The bump pointer now sits off a 64-byte boundary, so an ordinary 64-byte
+  // block lands misaligned for a 64-byte request -- and pays no padding.
+  const std::size_t before = arena.bytesUsed();
+  void* plain = arena.allocate(64);
+  EXPECT_EQ(arena.bytesUsed(), before + 64);
+  ASSERT_FALSE(alignedTo(plain, 64));
+  arena.deallocate(plain, 64);
+
+  void* aligned = arena.allocate(64, 64);
+  EXPECT_NE(aligned, plain);
+  EXPECT_TRUE(alignedTo(aligned, 64));
+  void* recycled = arena.allocate(64);
+  EXPECT_EQ(recycled, plain) << "an ordinary request still takes the block";
+  arena.deallocate(recycled, 64);
+  arena.deallocate(aligned, 64);
 }
 
 TEST_F(ArenaTest, ConcurrentAllocFreeIsSafe) {

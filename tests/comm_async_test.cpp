@@ -233,20 +233,17 @@ TEST_F(CommAsyncTest, CompletionQueueDrainsInFifoCompletionOrder) {
 }
 
 TEST_F(CommAsyncTest, StealAndContinuationCountersSnapshotAndReset) {
-  // Runs under the adaptive tuner regardless of the suite-wide PGASNB_TUNING
-  // leg: the test drives tuner decisions and asserts their counters/gauges
-  // round-trip through snapshot and reset with everything else.
-  RuntimeConfig cfg = testing::testConfig(2);
-  cfg.tuning_mode = TuningMode::adaptive;
-  runtime_ = std::make_unique<Runtime>(cfg);
-  // One pairwise steal: everything lands in `other`, so nextFrom must take
-  // it from there.
+  startRuntime(2);
+  // One steal: everything lands in the enrolled sibling `other`, so
+  // nextAny must take it from there.
   comm::CompletionQueue mine;
   comm::CompletionQueue other;
+  mine.enrollLocal();
+  other.enrollLocal();
   auto h = comm::amAsyncHandle(1, [] {});
   h.wait();
   other.watch(h, 1);
-  ASSERT_TRUE(mine.nextFrom(other).has_value());
+  ASSERT_TRUE(mine.nextAny().has_value());
   // One stolen continuation: the worker-policy body is deferred into the
   // drain group and executed by a task thread (the waiter helps).
   std::atomic<int> ran{0};
@@ -254,32 +251,37 @@ TEST_F(CommAsyncTest, StealAndContinuationCountersSnapshotAndReset) {
       .then([&ran] { ran.fetch_add(1); }, comm::ExecPolicy::worker)
       .wait();
   EXPECT_EQ(ran.load(), 1);
-  // One tuner decision: sparse aggregated production (1 ms gaps) forces a
-  // batch resize, which also publishes the effective-batch gauge.
-  comm::Aggregator& agg = comm::taskAggregator();
-  std::uint64_t t = sim::now();
-  for (int i = 0; i < 16; ++i) {
-    t += 1'000'000;
-    sim::setNow(t);
-    agg.enqueue(1, [] {});
-  }
-  agg.flushAll();
   const comm::Counters snap = comm::counters();
   EXPECT_EQ(snap.cq_stolen, 1u);
   EXPECT_GE(snap.continuations_stolen, 1u);
-  EXPECT_GE(snap.tuner_batch_resizes, 1u);
-  EXPECT_EQ(snap.tuner_effective_batch, agg.opsPerBatch());
   comm::resetCounters();
   const comm::Counters zeroed = comm::counters();
   EXPECT_EQ(zeroed.cq_stolen, 0u);
   EXPECT_EQ(zeroed.continuations_stolen, 0u);
   EXPECT_EQ(zeroed.cq_drained, 0u);
-  EXPECT_EQ(zeroed.tuner_batch_resizes, 0u);
-  EXPECT_EQ(zeroed.tuner_slice_adjusts, 0u);
-  EXPECT_EQ(zeroed.steal_depth_hits, 0u);
-  EXPECT_EQ(zeroed.steal_random_fallbacks, 0u);
-  EXPECT_EQ(zeroed.tuner_effective_batch, 0u);
-  EXPECT_EQ(zeroed.tuner_park_slice_us, 0u);
+}
+
+TEST_F(CommAsyncTest, TaskAggregatorKeepsTheConfiguredBatchKnobs) {
+  // Batching is static: sparse production (one op per simulated
+  // millisecond, far past the age cutoff) ships many small batches, and the
+  // task aggregator's threshold and age cutoff stay exactly as configured.
+  startRuntime(2);
+  const RuntimeConfig& cfg = runtime_->config();
+  comm::Aggregator& agg = comm::taskAggregator();
+  agg.enqueue(1, [] {});  // first enqueue adopts the new runtime's config
+  std::uint64_t t = sim::now();
+  for (int round = 0; round < 4; ++round) {
+    for (std::size_t i = 0; i < agg.opsPerBatch(); ++i) {
+      t += 1'000'000;
+      sim::setNow(t);
+      agg.enqueue(1, [] {});
+    }
+  }
+  agg.flushAll();
+  EXPECT_GT(comm::counters().am_batched, 4u) << "age flushes must fire";
+  EXPECT_EQ(agg.opsPerBatch(), cfg.aggregator_ops_per_batch);
+  EXPECT_EQ(agg.maxBatchAgeNs(), cfg.aggregator_max_batch_age_ns);
+  EXPECT_EQ(comm::counters().tuner_batch_resizes, 0u);
 }
 
 TEST_F(CommAsyncTest, CompletionQueueWatchAfterCompletionStillDelivers) {

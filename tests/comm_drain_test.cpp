@@ -376,7 +376,7 @@ TEST_F(CommDrainTest, WorkerContinuationMayIssueAggregatedOps) {
 
 TEST_F(CommDrainTest, UnenrolledNextAnyStillRunsDeferredContinuations) {
   // Regression (PR-5 review): the unenrolled fallback of nextAny() must
-  // help execute deferred bodies like next()/nextFrom() do -- a consumer
+  // help execute deferred bodies like next() does -- a consumer
   // watching its own worker-policy continuation may be the only task
   // thread able to run it. One pool worker, pinned by a blocking task, so
   // nobody can rescue a non-helping consumer.

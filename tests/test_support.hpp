@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <string>
 
@@ -12,10 +11,7 @@
 namespace pgasnb::testing {
 
 /// Fast test config: no physical delay injection (the simulated clock still
-/// advances), small arenas, a couple of workers. Honors PGASNB_TUNING so the
-/// CI static-tuning leg runs the whole suite with adaptation disabled; every
-/// other knob stays pinned for determinism (tests that *require* adaptive
-/// behavior set cfg.tuning_mode explicitly after calling this).
+/// advances), small arenas, a couple of workers.
 inline RuntimeConfig testConfig(std::uint32_t locales,
                                 CommMode mode = CommMode::none,
                                 std::uint32_t workers = 2) {
@@ -25,9 +21,6 @@ inline RuntimeConfig testConfig(std::uint32_t locales,
   cfg.comm_mode = mode;
   cfg.inject_delays = false;
   cfg.arena_bytes_per_locale = std::size_t{32} << 20;
-  if (const char* v = std::getenv("PGASNB_TUNING")) {
-    cfg.tuning_mode = parseTuningMode(v, cfg.tuning_mode);
-  }
   return cfg;
 }
 
