@@ -119,9 +119,7 @@ class MsQueue {
   /// entirely on the home locale as one op of a batch. The whole batch's
   /// handles resolve together when it is serviced. Ships at batch-full /
   /// age / flush -- or automatically when the handle is waited/drained or
-  /// an enclosing comm::OpWindow closes; no manual flushAll() needed. A
-  /// comm::WindowMode::drain window additionally consumes the joins as
-  /// completions land (drain-mode join) instead of spin-joining at close.
+  /// an enclosing comm::OpWindow closes; no manual flushAll() needed.
   comm::Handle<> enqueueAsyncAggregated(Guard& guard, T value) {
     PGASNB_CHECK_MSG(guard.pinned(),
                      "MsQueue::enqueueAsyncAggregated requires a pinned guard");

@@ -114,7 +114,7 @@ void executeLanePipelined(DistDomain domain, EpochClient& client,
   lane.inflight.reserve(lane.staged.size());
   lane.executed = lane.staged.size();
   {
-    comm::OpWindow window(comm::WindowMode::drain);
+    comm::OpWindow window;
     std::uint64_t since_drain = 0;
     for (OpRecord& op : lane.staged) {
       op.issue_ns = sim::now();
@@ -134,7 +134,7 @@ void executeLanePipelined(DistDomain domain, EpochClient& client,
       window.drain();
       initializeLane(domain, client, epoch + 1, lane.next);
     }
-  }  // close: ship buffered batches, drain to quiescence, one max-fold
+  }  // close: ship buffered batches, spin-join the rest, one max-fold
   recordLatencies(lane);
   lane.staged.swap(lane.next);
   lane.next.clear();
@@ -155,7 +155,7 @@ void executeLaneBarriered(EpochClient& client, const EpochEngineConfig& cfg,
         std::min(i + static_cast<std::size_t>(cfg.window_ops),
                  lane.staged.size());
     {
-      comm::OpWindow window;  // WindowMode::spin
+      comm::OpWindow window;
       for (; i < end; ++i) {
         OpRecord& op = lane.staged[i];
         op.issue_ns = sim::now();

@@ -13,9 +13,9 @@
 //   initialize  allocate/stage per-op state under a pinned epoch guard
 //               (the client's hook; staging garbage retired here rides
 //               the aggregated-retire path like any other retire);
-//   execute     issue every staged op through a drain-mode comm::OpWindow
-//               -- completions are absorbed mid-window by the lane's
-//               DrainGroup-backed queue -- and record per-op latency.
+//   execute     issue every staged op through a comm::OpWindow --
+//               completions are absorbed mid-window with
+//               OpWindow::drain() -- and record per-op latency.
 //
 // The *epoch is the GC boundary*: at the end of every epoch the engine
 // fences the AM queues (so in-flight aggregated retires have landed in a

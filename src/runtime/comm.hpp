@@ -21,13 +21,9 @@
 // flushes and joins them at the max simulated time -- see the class below
 // and docs/ARCHITECTURE.md for the lifecycle.
 //
-// Consumption is scheduled locale-wide: every locale owns a `DrainGroup`
+// Consumption can be shared locale-wide: every locale owns a `DrainGroup`
 // (runtime/drain_group.hpp) that registers sibling CompletionQueues
-// (`enrollLocal()` + steal-from-any `nextAny()` draining), backs
-// `WindowMode::drain` OpWindows (completions processed as they land
-// instead of a close-time spin-join), and executes `then(fn,
-// ExecPolicy::worker)` continuation bodies on task threads so heavy
-// bodies stay off the progress threads' AM service path.
+// (`enrollLocal()` + steal-from-any `nextAny()` draining).
 //
 // This is the layer where CommMode matters:
 //
@@ -163,30 +159,6 @@ void flushTaskAggregatorForDrain();
 /// The calling locale's DrainGroup, or nullptr when no runtime is active.
 DrainGroup* localDrainGroup() noexcept;
 
-/// Queue `run` into locale `loc`'s DrainGroup for execution by one of its
-/// task threads (the ExecPolicy::worker deferral hook). Enqueue-only.
-void deferContinuationTo(std::uint32_t loc, std::function<void()> run);
-
-/// Execute one deferred continuation of the calling locale's DrainGroup,
-/// if the caller is a task thread and one is pending. Progress threads
-/// never run deferred bodies (that would put them back on the AM service
-/// path); for them -- and without a runtime -- this is a no-op.
-bool helpOneDeferred();
-
-/// Spin until `core` completes, executing deferred drain-group
-/// continuations between probes: a waiter parked on a worker-policy
-/// continuation must be able to run the body itself instead of
-/// deadlocking on an idle locale.
-void spinHelpUntilDone(HandleCore& core);
-
-/// Issue-side backpressure gate: when the calling locale's DrainGroup is
-/// saturated (deferred queue at or past half its cap), a task thread about
-/// to defer more work first helps drain the backlog below the throttle
-/// mark (counted once in backpressure_stalls). No-op on progress threads
-/// (they must never run deferred bodies), without a runtime, or when the
-/// cap is 0.
-void throttleDeferredBacklog();
-
 /// The bounded parking slice consumers wait per probe round
 /// (RuntimeConfig::cq_park_slice_us; 200us without a runtime, never 0).
 std::chrono::microseconds cqParkSlice() noexcept;
@@ -198,22 +170,6 @@ void noteHandlesChained() noexcept;
 void noteCqDrained() noexcept;
 
 }  // namespace detail
-
-/// Where a `then` continuation body executes:
-///   * completer -- on whichever thread completes the parent (a progress
-///     thread for remote AMs), under a sim::TimeScope pinned to the
-///     parent's join-ready time. Cheap transforms belong here.
-///   * worker    -- deferred into the *issuing* locale's DrainGroup: the
-///     completing progress thread only enqueues, and a task thread of that
-///     locale (an idle worker, a helping join, or any comm wait/park loop)
-///     executes the body later. The executor folds the parent's join-ready
-///     time at steal time and then charges its *own* sim clock -- heavy
-///     bodies stay off the AM service path.
-///
-/// Continuation bodies must not throw under either policy: the executing
-/// thread is never the chain's owner, so there is nobody to catch it
-/// (worker-policy bodies fail fast with a checked abort).
-enum class ExecPolicy : std::uint8_t { completer, worker };
 
 template <typename T = void>
 class Handle;
@@ -261,37 +217,6 @@ struct WhenAllCtl {
   std::atomic<std::uint64_t> max_join{0};
 };
 
-/// Wrap a continuation body into a completion waiter according to the
-/// ExecPolicy. `body` is invoked with the host thread's clock already
-/// positioned on the chain's timeline and must complete the derived core
-/// itself:
-///   * completer: run inline on the completing thread under a TimeScope
-///     pinned to the parent's join-ready time (host clock undisturbed).
-///   * worker: enqueue into the issuing locale's DrainGroup; the executing
-///     task thread max-folds the join-ready time into its own clock first,
-///     so the body's charges extend the executor's timeline. Falls back to
-///     completer semantics when no runtime is active.
-template <typename Body>
-std::function<void(std::uint64_t)> routeContinuation(ExecPolicy policy,
-                                                     Body body) {
-  if (policy == ExecPolicy::worker && Runtime::active()) {
-    const std::uint32_t issuer = Runtime::here();
-    // Backpressure: a producer racing ahead of this locale's drainers
-    // works the backlog down before adding to it.
-    throttleDeferredBacklog();
-    return [issuer, body = std::move(body)](std::uint64_t join) mutable {
-      deferContinuationTo(issuer, [body = std::move(body), join]() mutable {
-        sim::joinAtLeast(join);
-        body();
-      });
-    };
-  }
-  return [body = std::move(body)](std::uint64_t join) mutable {
-    sim::TimeScope at(join);
-    body();
-  };
-}
-
 }  // namespace detail
 
 /// A lightweight completion future for a non-blocking communication op.
@@ -329,10 +254,7 @@ class Handle {
   void wait() {
     PGASNB_CHECK_MSG(valid(), "wait() on an invalid comm::Handle");
     detail::flushIfBuffered(*state_);
-    // Spin *with helping*: the waiter executes deferred drain-group
-    // continuations between probes, so waiting on a worker-policy
-    // continuation can never deadlock on an idle locale.
-    detail::spinHelpUntilDone(*state_);
+    spinUntil([this] { return ready(); });
     sim::joinAtLeast(completionTime() + state_->wire_return_ns);
   }
 
@@ -354,26 +276,20 @@ class Handle {
   /// completes, invoked with the result (`const T&`; nothing for void
   /// handles). Returns a handle for the continuation's own completion.
   ///
-  /// Sim-clock semantics depend on the ExecPolicy. Under the default
-  /// (`ExecPolicy::completer`) the continuation executes on the thread
-  /// that completed the parent (a progress thread for remote AMs; the
-  /// caller for already-complete handles) under a sim::TimeScope pinned
-  /// to the parent's join-ready time, so everything it charges -- and
-  /// every async op it issues -- extends the *chain's* timeline, not the
-  /// host thread's. Under `ExecPolicy::worker` the body is deferred into
-  /// the issuing locale's DrainGroup instead: the completing progress
-  /// thread only enqueues, and the task thread that eventually runs the
-  /// body max-folds the parent's join-ready time at steal time and then
-  /// charges its own clock. If `fn` returns a `Handle<U>` the chain
-  /// flattens either way: the derived handle resolves when the *inner*
-  /// operation does, so each hop of an async chain pays its own wire +
-  /// service charge.
+  /// The continuation executes on the thread that completed the parent (a
+  /// progress thread for remote AMs; the caller for already-complete
+  /// handles) under a sim::TimeScope pinned to the parent's join-ready
+  /// time, so everything it charges -- and every async op it issues --
+  /// extends the *chain's* timeline, not the host thread's. If `fn`
+  /// returns a `Handle<U>` the chain flattens: the derived handle resolves
+  /// when the *inner* operation does, so each hop of an async chain pays
+  /// its own wire + service charge.
   ///
-  /// Completer continuations must not block (they may run on a progress
-  /// thread); issue async ops and chain further, or use
-  /// `ExecPolicy::worker` for heavy bodies.
+  /// Continuations must not block or throw (they may run on a progress
+  /// thread, which is never the chain's owner); issue async ops and chain
+  /// further instead.
   template <typename F>
-  auto then(F&& fn, ExecPolicy policy = ExecPolicy::completer) {
+  auto then(F&& fn) {
     PGASNB_CHECK_MSG(valid(), "then() on an invalid comm::Handle");
     using R = typename detail::then_result<std::decay_t<F>, T>::type;
     detail::noteHandlesChained();
@@ -382,48 +298,46 @@ class Handle {
       auto derived = std::make_shared<detail::HandleState<U>>();
       derived->flush_parent = state_;
       detail::addCompletionWaiter(
-          *state_,
-          detail::routeContinuation(
-              policy, [parent = state_, derived,
-                       fn = std::decay_t<F>(std::forward<F>(fn))]() mutable {
-                R inner = detail::invokeContinuation<T>(fn, *parent);
-                PGASNB_CHECK_MSG(
-                    inner.valid(),
-                    "then(): continuation returned an invalid Handle");
-                auto inner_state = inner.state();
-                detail::addCompletionWaiter(
-                    *inner_state,
-                    [derived, inner_state](std::uint64_t inner_join) {
-                      if constexpr (!std::is_void_v<U>) {
-                        derived->value = inner_state->value;
-                      }
-                      detail::completeCore(*derived, inner_join);
-                    });
-              }));
+          *state_, [parent = state_, derived,
+                    fn = std::decay_t<F>(std::forward<F>(fn))](
+                       std::uint64_t join) mutable {
+            sim::TimeScope at(join);
+            R inner = detail::invokeContinuation<T>(fn, *parent);
+            PGASNB_CHECK_MSG(inner.valid(),
+                             "then(): continuation returned an invalid Handle");
+            auto inner_state = inner.state();
+            detail::addCompletionWaiter(
+                *inner_state, [derived, inner_state](std::uint64_t inner_join) {
+                  if constexpr (!std::is_void_v<U>) {
+                    derived->value = inner_state->value;
+                  }
+                  detail::completeCore(*derived, inner_join);
+                });
+          });
       return Handle<U>(std::move(derived));
     } else if constexpr (std::is_void_v<R>) {
       auto derived = std::make_shared<detail::HandleState<void>>();
       derived->flush_parent = state_;
       detail::addCompletionWaiter(
-          *state_,
-          detail::routeContinuation(
-              policy, [parent = state_, derived,
-                       fn = std::decay_t<F>(std::forward<F>(fn))]() mutable {
-                detail::invokeContinuation<T>(fn, *parent);
-                detail::completeCore(*derived, sim::now());
-              }));
+          *state_, [parent = state_, derived,
+                    fn = std::decay_t<F>(std::forward<F>(fn))](
+                       std::uint64_t join) mutable {
+            sim::TimeScope at(join);
+            detail::invokeContinuation<T>(fn, *parent);
+            detail::completeCore(*derived, sim::now());
+          });
       return Handle<>(std::move(derived));
     } else {
       auto derived = std::make_shared<detail::HandleState<R>>();
       derived->flush_parent = state_;
       detail::addCompletionWaiter(
-          *state_,
-          detail::routeContinuation(
-              policy, [parent = state_, derived,
-                       fn = std::decay_t<F>(std::forward<F>(fn))]() mutable {
-                derived->value = detail::invokeContinuation<T>(fn, *parent);
-                detail::completeCore(*derived, sim::now());
-              }));
+          *state_, [parent = state_, derived,
+                    fn = std::decay_t<F>(std::forward<F>(fn))](
+                       std::uint64_t join) mutable {
+            sim::TimeScope at(join);
+            derived->value = detail::invokeContinuation<T>(fn, *parent);
+            detail::completeCore(*derived, sim::now());
+          });
       return Handle<R>(std::move(derived));
     }
   }
@@ -526,9 +440,7 @@ Handle<> whenAll(std::vector<Handle<T>>& handles) {
 /// A consumer about to block first ships anything buffered in its *own*
 /// task Aggregator, so draining a window of aggregated ops needs no manual
 /// flushAll(). (An op buffered by a *different* task still needs that task
-/// to flush -- its wait()/OpWindow close does so automatically.) While
-/// parked, consumers also execute deferred worker continuations of their
-/// locale, so a drained handle chain can never deadlock on its own body.
+/// to flush -- its wait()/OpWindow close does so automatically.)
 class CompletionQueue {
  public:
   CompletionQueue() : state_(std::make_shared<detail::CqShared>()) {}
@@ -576,19 +488,12 @@ class CompletionQueue {
   template <typename T>
   void watch(const Handle<T>& h, std::uint64_t tag = 0) {
     PGASNB_CHECK_MSG(h.valid(), "watch() on an invalid comm::Handle");
-    watchCore(h.state(), tag);
-  }
-
-  /// Untyped flavor of watch() for completion cores (drain-mode OpWindows
-  /// enroll their owned cores this way). Internal surface.
-  void watchCore(const std::shared_ptr<detail::HandleCore>& core,
-                 std::uint64_t tag) {
     {
       std::lock_guard<std::mutex> g(state_->lock);
       ++state_->outstanding;
     }
     detail::addCompletionWaiter(
-        *core, [s = state_, tag](std::uint64_t join) {
+        *h.state(), [s = state_, tag](std::uint64_t join) {
           {
             std::lock_guard<std::mutex> g(s->lock);
             s->ready.push_back({tag, join});
@@ -603,7 +508,7 @@ class CompletionQueue {
   /// completion's tag, or nullopt once nothing is outstanding (at which
   /// point every blocked sibling consumer is released too). Before
   /// parking, ships anything still buffered in the calling task's
-  /// Aggregator and helps with deferred worker continuations.
+  /// Aggregator.
   std::optional<std::uint64_t> next() {
     for (;;) {
       std::uint64_t tag = 0;
@@ -612,7 +517,6 @@ class CompletionQueue {
       // About to go idle: a watched op still sitting in our own aggregator
       // would never ship (we are its only flusher) -- send it now.
       detail::flushTaskAggregatorForDrain();
-      if (detail::helpOneDeferred()) continue;
       parkOn(*this);
     }
   }
@@ -641,11 +545,10 @@ class CompletionQueue {
   /// enrollment -- or after that runtime died -- nextAny degrades to a
   /// plain next()-style drain of the own queue: a queue the group has no
   /// record of must neither steal sibling tags it cannot interpret nor
-  /// wait on a group it is invisible to). Runs deferred worker
-  /// continuations while idle and parks in bounded slices while this
-  /// queue or any sibling has watches outstanding; returns nullopt once
-  /// the whole group has nothing ready, outstanding, or deferred. Stolen
-  /// joins fold into the stealer's clock, like any drain.
+  /// wait on a group it is invisible to). Parks in bounded slices while
+  /// this queue or any sibling has watches outstanding; returns nullopt
+  /// once the whole group has nothing ready or outstanding. Stolen joins
+  /// fold into the stealer's clock, like any drain.
   ///
   /// Termination is a racy snapshot: with consumers that REISSUE after
   /// draining (pop -> compute -> watch), the group can look momentarily
@@ -666,9 +569,6 @@ class CompletionQueue {
           return stolen.tag;
         }
       }
-      // Help in BOTH branches: even an unenrolled consumer may be waiting
-      // on a completion whose worker-policy body only it can run.
-      if (detail::helpOneDeferred()) continue;
       detail::flushTaskAggregatorForDrain();
       // Park where work can still appear: on our own queue while it has
       // outstanding watches...
@@ -679,15 +579,11 @@ class CompletionQueue {
       if (group == nullptr) return std::nullopt;
       // ...else on a producing sibling -- a stealer with an empty own
       // queue must sleep, not busy-probe its victims. The park probe
-      // doubles as the "any sibling outstanding?" half of the termination
-      // predicate (one registry snapshot instead of two).
-      if (group->parkOnAnySibling(state_.get(), detail::cqParkSlice())) {
-        continue;
+      // doubles as the termination predicate: no sibling outstanding means
+      // the group is quiescent.
+      if (!group->parkOnAnySibling(state_.get(), detail::cqParkSlice())) {
+        return std::nullopt;
       }
-      if (!group->hasDeferred()) return std::nullopt;  // group quiescent
-      // Deferred work exists but we could not run it (another thread
-      // raced us to the body): bounded sleep, never a hot loop.
-      std::this_thread::sleep_for(detail::cqParkSlice());
     }
   }
 
@@ -909,12 +805,6 @@ class Aggregator {
     return loc < buckets_.size() ? buckets_[loc].ops.size() : 0;
   }
 
-  /// Monotone count of ops ever *buffered* here (never decremented at
-  /// flush). Comparing it across a code region answers "did this region
-  /// enqueue anything?" even when intervening auto-flushes restore the
-  /// pending() count -- the drain scheduler's helped-body flush gate.
-  std::uint64_t bufferedEnqueues() const noexcept { return buffered_enqueues_; }
-
   std::size_t opsPerBatch() const noexcept { return ops_per_batch_; }
   std::uint64_t maxBatchAgeNs() const noexcept { return max_batch_age_ns_; }
 
@@ -932,12 +822,6 @@ class Aggregator {
   /// runtime generation (their closures reference dead objects).
   void adoptRuntime();
 
-  /// Backpressure: true when a threshold-full bucket for `loc` should keep
-  /// buffering because the destination's deferred-continuation queue is
-  /// saturated (see RuntimeConfig::drain_deferred_cap). Aged and explicit
-  /// flushes bypass this, and a bucket at 4x the threshold always ships.
-  bool holdForBackpressure(std::uint32_t loc);
-
   static constexpr std::uint64_t kNoDeadline = ~std::uint64_t{0};
 
   std::size_t ops_per_batch_;
@@ -948,7 +832,6 @@ class Aggregator {
   std::uint64_t next_age_deadline_ = kNoDeadline;
   std::uint64_t runtime_generation_ = 0;
   std::size_t total_pending_ = 0;
-  std::uint64_t buffered_enqueues_ = 0;
   std::vector<Bucket> buckets_;
 };
 
@@ -959,20 +842,6 @@ class Aggregator {
 Aggregator& taskAggregator();
 
 // --- operation windows ------------------------------------------------------
-
-/// How an OpWindow waits for its owned operations at close:
-///   * spin  -- close-time spin-join: busy-wait each owned core, then one
-///     max-fold of the set (the original discipline; no queue overhead).
-///   * drain -- the window watches every owned core into an internal
-///     (private) CompletionQueue and close *drains* it: completions are
-///     consumed (and their joins folded) as they land, `drain()` lets the
-///     caller overlap its own compute with the tail of the batch
-///     mid-window, and the close-time wait parks in bounded slices and
-///     helps execute the locale's deferred continuations instead of
-///     spinning. Same max-fold arithmetic either way. The internal queue
-///     is NOT enrolled in the DrainGroup -- its tags are window-internal
-///     indices, and enrolled queues share the locale's tag namespace.
-enum class WindowMode : std::uint8_t { spin, drain };
 
 /// An RAII scope owning a set of in-flight asynchronous operations --
 /// above all *aggregated* ones. While a window is open on a thread, every
@@ -1002,19 +871,14 @@ enum class WindowMode : std::uint8_t { spin, drain };
 /// enqueue(), buffered retires) have no completion to own: the window
 /// guarantees they *ship* at close, not that they have been serviced.
 ///
-/// A `WindowMode::drain` window replaces the close-time spin-join with a
-/// CompletionQueue-backed drain: owned ops are watched into an internal
-/// private queue, `drain()` absorbs the finished head of the batch
-/// mid-window so the caller's compute overlaps the tail, and close
-/// consumes the queue to quiescence -- parking in bounded slices and
-/// helping the locale's deferred continuations -- before the same
-/// one-max-fold of the set.
+/// `drain()` lets the caller overlap its own compute with the tail of the
+/// batch: it absorbs whatever has already completed mid-window, and close
+/// then spin-joins only the rest. Same max-fold arithmetic either way.
 class OpWindow {
  public:
   /// Open a window and make it the innermost on this thread. Charges
-  /// nothing. A `WindowMode::drain` window additionally owns a private
-  /// CompletionQueue that every enrolled op is watched into.
-  explicit OpWindow(WindowMode mode = WindowMode::spin);
+  /// nothing.
+  OpWindow();
   /// Close (join()) if still open: flush + wait-all, even when unwinding.
   ~OpWindow();
   OpWindow(const OpWindow&) = delete;
@@ -1037,18 +901,17 @@ class OpWindow {
   /// accepts enrollments.
   void join();
 
-  /// Drain-mode only: consume every completion that has already landed in
-  /// the window's queue (never blocks), folding each join-ready time into
-  /// the caller's clock as it goes -- the mid-window overlap hook: call it
-  /// between bursts of compute to absorb the finished head of the batch
-  /// while the tail is still in flight. Returns how many completions were
-  /// consumed.
+  /// Fold the join-ready time of every owned op that has already completed
+  /// into the caller's clock and stop owning it (never blocks, ships
+  /// nothing) -- the mid-window overlap hook: call it between bursts of
+  /// compute to absorb the finished head of the batch while the tail is
+  /// still in flight. Returns how many ops were absorbed.
   std::size_t drain();
 
-  /// Operations owned and not yet joined. / Whether join() has not run yet.
+  /// Operations owned and not yet joined or drained. / Whether join() has
+  /// not run yet.
   std::size_t inFlight() const noexcept { return cores_.size(); }
   bool open() const noexcept { return open_; }
-  WindowMode mode() const noexcept { return mode_; }
 
   /// The innermost open window on the calling thread (nullptr outside any
   /// window scope). Aggregators use this to auto-enroll handle-carrying ops.
@@ -1059,13 +922,9 @@ class OpWindow {
 
  private:
   std::vector<std::shared_ptr<detail::HandleCore>> cores_;
-  /// Drain mode: the private internal queue the owned cores are watched
-  /// into (reset at join). Never group-enrolled -- see WindowMode.
-  std::unique_ptr<CompletionQueue> cq_;
   OpWindow* parent_ = nullptr;
   std::thread::id owner_;
   std::uint64_t runtime_generation_ = 0;
-  WindowMode mode_ = WindowMode::spin;
   bool open_ = true;
 };
 
@@ -1083,15 +942,11 @@ struct Counters {
   std::uint64_t cq_drained = 0;      ///< completions popped from CompletionQueues
   std::uint64_t cq_stolen = 0;       ///< completions taken from a sibling queue
                                      ///< (DrainGroup::stealReady)
-  std::uint64_t continuations_stolen = 0;  ///< deferred ExecPolicy::worker
-                                           ///< bodies executed by task threads
-  std::uint64_t backpressure_stalls = 0;   ///< throttle engagements: issuers
-                                           ///< held/helped on a saturated
-                                           ///< deferred queue
-  std::uint64_t deferred_peak = 0;         ///< deepest any locale's deferred
-                                           ///< queue has been (high-water)
-  std::uint64_t tuner_batch_resizes = 0;   ///< always 0 (batching is static);
-                                           ///< kept while perfbench reads it
+  // Always 0 (continuations run where their parent completes, and
+  // batching is static); kept while perfbench reads them.
+  std::uint64_t backpressure_stalls = 0;
+  std::uint64_t deferred_peak = 0;
+  std::uint64_t tuner_batch_resizes = 0;
   std::uint64_t puts = 0;
   std::uint64_t gets = 0;
   std::uint64_t dcas_local = 0;

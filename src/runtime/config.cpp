@@ -121,10 +121,6 @@ RuntimeConfig RuntimeConfig::fromEnv() {
     cfg.interval_era_freq =
         static_cast<std::uint32_t>(std::strtoul(v, nullptr, 0));
   }
-  if (const char* v = envOrNull("PGASNB_DRAIN_DEFERRED_CAP")) {
-    cfg.drain_deferred_cap =
-        static_cast<std::uint32_t>(std::strtoul(v, nullptr, 0));
-  }
   if (const char* v = envOrNull("PGASNB_RH_RESIZE_LOAD")) {
     cfg.rh_resize_load = std::strtod(v, nullptr);
   }
@@ -141,7 +137,6 @@ std::string RuntimeConfig::describe() const {
      << " comm=" << toString(comm_mode)
      << " retire=" << toString(remote_retire)
      << " reclaim=" << toString(reclaim_mode)
-     << " drain_cap=" << drain_deferred_cap
      << " rh_resize_load=" << rh_resize_load
      << " rh_migrate_chunk=" << rh_migrate_chunk
      << " inject=" << (inject_delays ? "yes" : "no")

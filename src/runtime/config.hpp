@@ -107,20 +107,12 @@ struct RuntimeConfig {
   std::uint64_t aggregator_max_batch_age_ns = 100'000;
 
   /// Completion-surface parking slice (*wall-clock* microseconds): how long
-  /// a CompletionQueue consumer (next/nextAny) parks per slice
-  /// before re-probing for steals / deferred continuations. Smaller = more
-  /// responsive stealing, more wakeups; 0 is clamped to 1. (Idle locale
-  /// workers don't poll on this -- they block on their task queue and are
-  /// woken by the drain group's wake hook.)
+  /// a CompletionQueue consumer (next/nextAny) parks per slice before
+  /// re-probing its own queue and, for nextAny, its siblings for steals.
+  /// Smaller = more responsive stealing, more wakeups; 0 is clamped to 1.
+  /// (Idle locale workers don't poll on this -- they block on their task
+  /// queue.)
   std::uint32_t cq_park_slice_us = 200;
-
-  /// Backpressure: per-locale cap on the DrainGroup's deferred-continuation
-  /// queue (ExecPolicy::worker continuations parked for that locale's
-  /// workers). Issuers start throttling -- holding aggregator batches to a
-  /// saturated destination, helping drain before deferring more -- once the
-  /// queue reaches half this depth, so the bound holds despite in-flight
-  /// batches. 0 = uncapped (no throttling).
-  std::uint32_t drain_deferred_cap = 4096;
 
   /// RobinHoodMap: per-segment load factor that starts an incremental
   /// doubling (shadow table + chunked migration). <= 0 disables resize, so
@@ -146,9 +138,8 @@ struct RuntimeConfig {
   /// PGASNB_INJECT_DELAYS, PGASNB_DELAY_SCALE, PGASNB_REMOTE_RETIRE,
   /// PGASNB_RECLAIM_MODE, PGASNB_INTERVAL_ERA_FREQ, PGASNB_RETIRE_BATCH,
   /// PGASNB_AGG_OPS_PER_BATCH, PGASNB_AGG_MAX_BATCH_AGE,
-  /// PGASNB_CQ_PARK_SLICE, PGASNB_DRAIN_DEFERRED_CAP,
-  /// PGASNB_RH_RESIZE_LOAD, PGASNB_RH_MIGRATE_CHUNK on top of the
-  /// defaults.
+  /// PGASNB_CQ_PARK_SLICE, PGASNB_RH_RESIZE_LOAD, PGASNB_RH_MIGRATE_CHUNK
+  /// on top of the defaults.
   static RuntimeConfig fromEnv();
 
   std::string describe() const;

@@ -1,29 +1,15 @@
-// The locale-wide drain scheduler.
+// The locale-wide drain registry.
 //
 // Every locale owns one `comm::DrainGroup`: a registry of the sibling
-// CompletionQueues draining on that locale plus a queue of *deferred
-// continuations* (then() bodies routed off the AM service path with
-// ExecPolicy::worker). It is the locale's single consumer surface --
-// workers, drain-mode OpWindows, and continuation execution all route
-// through it:
+// CompletionQueues draining on that locale.
+// `CompletionQueue::enrollLocal()` registers a queue here; an enrolled
+// consumer draining with `nextAny()` pops its own queue first and then
+// *steals* a ready completion from any sibling (randomized victim order,
+// Chapel-style distributed workstealing rendered per locale).
 //
-//   * `CompletionQueue::enrollLocal()` registers a queue here; an enrolled
-//     consumer draining with `nextAny()` pops its own queue first and then
-//     *steals* a ready completion from any sibling (randomized victim
-//     order, Chapel-style distributed workstealing rendered per locale).
-//   * `then(fn, ExecPolicy::worker)` defers the continuation body into the
-//     issuing locale's group via `defer()`; the completing progress thread
-//     only enqueues. Idle locale workers, helping task joins, and every
-//     comm-layer wait/park loop call `runOneDeferred()` to execute them --
-//     the body's charges land on the *executing* thread's sim clock, after
-//     folding the parent's join-ready time at steal time.
-//
-// The group itself never blocks: stealing and deferred execution are
-// try-operations; *bounded parking* between attempts lives in the consumer
-// loops (CompletionQueue::next/nextAny, sliced by
-// RuntimeConfig::cq_park_slice_us). Idle locale workers block on their
-// task queue instead and are woken by defer()'s wake hook, so a quiet
-// locale costs nothing.
+// Stealing never blocks; consumers park between attempts in bounded
+// slices (CompletionQueue::next/nextAny, sliced by
+// RuntimeConfig::cq_park_slice_us).
 //
 // This header is runtime-free on purpose (std only): `Locale` embeds a
 // DrainGroup, and the comm layer reaches it through the Runtime.
@@ -39,7 +25,6 @@
 #include <thread>
 #include <vector>
 
-#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace pgasnb::comm {
@@ -67,17 +52,12 @@ struct CqShared {
 
 // Counter hooks (the process-wide comm counters live in comm.cpp).
 void noteCqStolen() noexcept;
-void noteContinuationStolen() noexcept;
-/// Reports the deferred-queue depth observed right after a defer();
-/// maintains the deferred_peak high-water counter.
-void noteDeferredDepth(std::size_t depth) noexcept;
 
 }  // namespace detail
 
-/// Per-locale registry of sibling completion queues + deferred
-/// continuations. All operations are thread-safe; none of them block or
-/// charge simulated time themselves (folding a stolen completion's join is
-/// the caller's business, and a deferred body folds its own start time).
+/// Per-locale registry of sibling completion queues. All operations are
+/// thread-safe; none of them charge simulated time themselves (folding a
+/// stolen completion's join is the caller's business).
 class DrainGroup {
  public:
   DrainGroup() = default;
@@ -93,8 +73,8 @@ class DrainGroup {
   /// namespace -- a stolen completion surfaces from the *stealer's*
   /// nextAny() carrying the tag the victim's watcher chose, so consumers
   /// must agree on what tags mean (the work-queue pattern: tags index one
-  /// shared slot table). Queues with private tag meanings (e.g. a
-  /// drain-mode OpWindow's internal queue) must not enroll.
+  /// shared slot table). Queues with private tag meanings must not
+  /// enroll.
   void enroll(const std::shared_ptr<detail::CqShared>& q) {
     std::lock_guard<std::mutex> g(lock_);
     for (const auto& w : queues_) {
@@ -181,98 +161,6 @@ class DrainGroup {
     return true;
   }
 
-  /// Queue a deferred continuation body for execution by whichever task
-  /// thread of this locale drains it next. Called by completing threads
-  /// (typically a progress thread): enqueue-only plus one wake-hook call,
-  /// so heavy bodies never serialize the AM service path. The hook (set by
-  /// the owning Locale to poke its parked workers) runs *outside* the
-  /// registry lock.
-  void defer(std::function<void()> run) {
-    std::function<void()> hook;
-    std::size_t depth;
-    {
-      std::lock_guard<std::mutex> g(lock_);
-      deferred_.push_back(std::move(run));
-      depth = deferred_.size();
-      hook = wake_hook_;
-    }
-    detail::noteDeferredDepth(depth);
-    if (hook) hook();
-  }
-
-  /// Install the callback defer() fires after enqueuing (Locale wires this
-  /// to its task queue's notifyAll so idle workers wake immediately
-  /// instead of discovering the work on their next fallback timeout).
-  void setWakeHook(std::function<void()> hook) {
-    std::lock_guard<std::mutex> g(lock_);
-    wake_hook_ = std::move(hook);
-  }
-
-  /// Execute one deferred continuation on the calling thread, if any is
-  /// pending. The body folds the parent's join-ready time and then charges
-  /// the caller's sim clock. Returns false when nothing was pending. Must
-  /// not be called from a progress thread (the comm-layer helpers guard).
-  bool runOneDeferred() {
-    std::function<void()> run;
-    {
-      std::lock_guard<std::mutex> g(lock_);
-      if (deferred_.empty()) return false;
-      run = std::move(deferred_.front());
-      deferred_.pop_front();
-    }
-    detail::noteContinuationStolen();
-    try {
-      run();
-    } catch (...) {
-      // A deferred body's exception has no owner to land on: the executor
-      // is an arbitrary task thread (an escape would surface a foreign
-      // exception inside an unrelated wait, or terminate an idle worker),
-      // and the chain's derived handle would stay incomplete forever
-      // either way. Fail fast with an attributable message instead --
-      // same contract as completer-policy continuations, which run on
-      // progress threads and must not throw either.
-      PGASNB_CHECK_MSG(false,
-                       "ExecPolicy::worker continuation threw; continuation "
-                       "bodies must not throw");
-    }
-    return true;
-  }
-
-  /// Pending deferred continuations (racy snapshot).
-  bool hasDeferred() const {
-    std::lock_guard<std::mutex> g(lock_);
-    return !deferred_.empty();
-  }
-
-  /// Current deferred-queue depth (racy snapshot; diagnostics/tests).
-  std::size_t deferredDepth() const {
-    std::lock_guard<std::mutex> g(lock_);
-    return deferred_.size();
-  }
-
-  /// Backpressure cap on the deferred queue (0 = uncapped). defer() itself
-  /// never drops or blocks -- the *issuing* side consults saturated() and
-  /// throttles (holds aggregator batches, helps drain) before producing
-  /// more, so the cap is a contract between producer and group, enforced
-  /// end-to-end rather than at the queue mouth.
-  void setDeferredCap(std::size_t cap) {
-    std::lock_guard<std::mutex> g(lock_);
-    deferred_cap_ = cap;
-  }
-
-  std::size_t deferredCap() const {
-    std::lock_guard<std::mutex> g(lock_);
-    return deferred_cap_;
-  }
-
-  /// True once the queue is at half the cap or beyond: producers start
-  /// throttling early enough that batches already in flight land under the
-  /// cap itself.
-  bool saturated() const {
-    std::lock_guard<std::mutex> g(lock_);
-    return deferred_cap_ != 0 && deferred_.size() * 2 >= deferred_cap_;
-  }
-
   /// Currently enrolled (live) queues -- diagnostics and tests.
   std::size_t enrolledApprox() const {
     std::lock_guard<std::mutex> g(lock_);
@@ -303,8 +191,8 @@ class DrainGroup {
 
   /// Copy the live sibling states (everything enrolled except `self`) into
   /// `out`, pruning expired entries. Holds only the registry lock -- queue
-  /// locks are always taken *outside* it, so completion delivery and
-  /// defer() on other threads never serialize behind a sibling scan.
+  /// locks are always taken *outside* it, so completion delivery on other
+  /// threads never serializes behind a sibling scan.
   void snapshotSiblings(const detail::CqShared* self,
                         std::vector<std::shared_ptr<detail::CqShared>>& out) {
     out.clear();
@@ -322,9 +210,6 @@ class DrainGroup {
 
   mutable std::mutex lock_;
   std::vector<std::weak_ptr<detail::CqShared>> queues_;
-  std::deque<std::function<void()>> deferred_;
-  std::size_t deferred_cap_ = 0;
-  std::function<void()> wake_hook_;
 };
 
 }  // namespace pgasnb::comm

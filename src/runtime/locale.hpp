@@ -1,8 +1,8 @@
 // A simulated locale: one compute node of the PGAS machine.
 //
 // Owns its memory arena, its active-message queue + progress thread, a task
-// queue + persistent workers, its drain group (the locale-wide completion /
-// continuation scheduler), and its slice of the privatization table.
+// queue + persistent workers, its drain group (the locale-wide
+// CompletionQueue registry), and its slice of the privatization table.
 #pragma once
 
 #include <atomic>
@@ -33,9 +33,8 @@ class Locale {
   Arena& arena() noexcept { return arena_; }
   AmQueue& amQueue() noexcept { return am_queue_; }
   TaskQueue& taskQueue() noexcept { return task_queue_; }
-  /// The locale-wide drain scheduler: sibling CompletionQueue registry
-  /// (steal-from-any drain) + deferred worker continuations. Idle workers
-  /// run deferred bodies between tasks; see runtime/drain_group.hpp.
+  /// The sibling CompletionQueue registry behind steal-from-any draining;
+  /// see runtime/drain_group.hpp.
   comm::DrainGroup& drainGroup() noexcept { return drain_group_; }
 
   /// Starts the progress thread and workers; called by the Runtime after the

@@ -1,17 +1,17 @@
-// The locale-wide drain scheduler (PR 5): DrainGroup enrollment and
+// The locale-wide drain surface: DrainGroup enrollment and
 // steal-from-any-sibling draining (CompletionQueue::enrollLocal +
-// nextAny), drain-mode OpWindows (mid-window drain, close-time drain to
-// quiescence, nesting, max-fold parity with spin windows), deferred
-// ExecPolicy::worker continuations (off the progress thread, executor-side
-// sim-clock charging, monadic flattening, helping waits), the
-// cq_park_slice_us knob, and a workers-x-locales stealing work-queue
-// sweep (the full sweep is the `-L stress` variant).
+// nextAny), mid-window OpWindow::drain() (absorbs landed ops, never
+// ships, same clock as a plain close, nesting), the cq_park_slice_us
+// knob, and a workers-x-locales stealing work-queue sweep (the full sweep
+// is the `-L stress` variant).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <memory>
 #include <optional>
+#include <thread>
 #include <vector>
 
 #include "test_support.hpp"
@@ -112,7 +112,7 @@ TEST_F(CommDrainTest, NextAnyPrefersOwnQueue) {
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(*second, 2u);
   EXPECT_FALSE(mine.nextAny().has_value())
-      << "group quiesced: nothing ready, outstanding, or deferred";
+      << "group quiesced: nothing ready or outstanding";
 }
 
 TEST_F(CommDrainTest, NextAnyWithoutEnrollmentDrainsOwnQueue) {
@@ -182,13 +182,12 @@ TEST_F(CommDrainTest, MultiWorkerGroupStealingDeliversExactlyOnce) {
   for (auto& q : queues) EXPECT_EQ(q->outstanding(), 0u);
 }
 
-// --- drain-mode operation windows --------------------------------------------
+// --- mid-window OpWindow::drain() --------------------------------------------
 
-TEST_F(CommDrainTest, DrainModeWindowProcessesCompletionsAsTheyLand) {
+TEST_F(CommDrainTest, WindowDrainAbsorbsCompletionsAsTheyLand) {
   startRuntime(2);
   constexpr std::size_t kOps = 8;
-  comm::OpWindow window(comm::WindowMode::drain);
-  EXPECT_EQ(window.mode(), comm::WindowMode::drain);
+  comm::OpWindow window;
   std::vector<comm::Handle<>> hs;
   for (std::size_t i = 0; i < kOps; ++i) {
     hs.push_back(window.add(comm::amAsyncHandle(1, [] {})));
@@ -199,59 +198,63 @@ TEST_F(CommDrainTest, DrainModeWindowProcessesCompletionsAsTheyLand) {
   while (consumed < kOps) consumed += window.drain();
   EXPECT_EQ(consumed, kOps);
   for (auto& h : hs) EXPECT_TRUE(h.ready());
-  EXPECT_EQ(window.drain(), 0u) << "queue already empty";
+  EXPECT_EQ(window.inFlight(), 0u) << "drained ops leave the window";
+  EXPECT_EQ(window.drain(), 0u) << "nothing left to absorb";
   window.join();  // nothing left to wait for
 }
 
-TEST_F(CommDrainTest, DrainModeWindowJoinsAtTheMaxSimTimeOfTheSet) {
-  // The drain-vs-spin contract: same max-fold arithmetic, different
-  // consumption scheduling. Mirrors the spin-mode window test.
+TEST_F(CommDrainTest, DrainedWindowJoinsAtTheMaxSimTimeOfTheSet) {
+  // drain() never ships: ops still buffered in the task aggregator stay
+  // owned, and close flushes and max-folds them like any window.
   startRuntime(3);
   sim::setNow(0);
   const LatencyModel& lat = runtime_->config().latency;
   std::vector<comm::Handle<>> hs;
   {
-    comm::OpWindow window(comm::WindowMode::drain);
+    comm::OpWindow window;
     hs.push_back(comm::taskAggregator().enqueueHandle(1, [] {}));
     hs.push_back(comm::taskAggregator().enqueueHandle(1, [] {}));
     hs.push_back(comm::taskAggregator().enqueueHandle(2, [] {}));
     EXPECT_EQ(window.inFlight(), 3u) << "aggregated ops auto-enroll";
-  }  // close: flush + drain to quiescence + one max-fold
+    EXPECT_EQ(window.drain(), 0u) << "buffered ops have not landed";
+    EXPECT_EQ(window.inFlight(), 3u);
+  }  // close: flush + spin-join + one max-fold
   std::uint64_t max_join = 0;
   for (auto& h : hs) {
-    ASSERT_TRUE(h.ready()) << "drain-mode close waits for every owned op";
+    ASSERT_TRUE(h.ready()) << "close waits for every owned op";
     max_join = std::max(max_join, h.completionTime() + lat.am_wire_ns);
   }
   EXPECT_GE(sim::now(), max_join) << "caller folded the max join of the set";
   EXPECT_EQ(comm::counters().am_batched, 2u);
 }
 
-TEST_F(CommDrainTest, NestedDrainModeWindowsJoinLifo) {
+TEST_F(CommDrainTest, NestedWindowsDrainOnlyTheirOwnOps) {
   startRuntime(3);
   std::atomic<int> inner_ran{0};
   std::atomic<int> outer_ran{0};
   {
-    comm::OpWindow outer(comm::WindowMode::drain);
-    comm::taskAggregator().enqueueHandle(1, [&outer_ran] { outer_ran.fetch_add(1); });
-    EXPECT_EQ(outer.inFlight(), 1u);
+    comm::OpWindow outer;
+    outer.add(comm::amAsyncHandle(1, [&outer_ran] { outer_ran.fetch_add(1); }));
     {
-      comm::OpWindow inner(comm::WindowMode::drain);
+      comm::OpWindow inner;
       EXPECT_EQ(comm::OpWindow::current(), &inner);
-      comm::taskAggregator().enqueueHandle(2, [&inner_ran] { inner_ran.fetch_add(1); });
-      EXPECT_EQ(inner.inFlight(), 1u) << "ops enroll into the innermost window";
-      EXPECT_EQ(outer.inFlight(), 1u);
-    }  // inner close flushes the task aggregator: both batches ship...
-    EXPECT_EQ(inner_ran.load(), 1) << "...and the inner op is joined";
+      inner.add(comm::amAsyncHandle(2, [&inner_ran] { inner_ran.fetch_add(1); }));
+      spinUntil([&] { return outer_ran.load() == 1 && inner_ran.load() == 1; });
+      // Both ops have landed; the inner drain absorbs only its own.
+      while (inner.inFlight() != 0) inner.drain();
+      EXPECT_EQ(outer.inFlight(), 1u) << "outer ownership intact";
+    }
     EXPECT_EQ(comm::OpWindow::current(), &outer);
-    EXPECT_EQ(outer.inFlight(), 1u) << "outer ownership intact after inner join";
+    while (outer.inFlight() != 0) outer.drain();
   }
   EXPECT_EQ(outer_ran.load(), 1);
+  EXPECT_EQ(inner_ran.load(), 1);
   EXPECT_EQ(comm::OpWindow::current(), nullptr);
 }
 
 TEST_F(CommDrainTest, DrainedWindowedPopsNeedNoManualFlush) {
-  // The acceptance-criteria shape, drain-mode edition: popAsyncAggregated
-  // joined through a draining OpWindow with no flushAll() anywhere.
+  // popAsyncAggregated joined through a window drained mid-batch, with no
+  // flushAll() anywhere.
   startRuntime(4);
   DistDomain domain = DistDomain::create();
   auto* stack = DistStack<std::uint64_t>::create(domain, /*home=*/0);
@@ -266,12 +269,12 @@ TEST_F(CommDrainTest, DrainedWindowedPopsNeedNoManualFlush) {
     std::vector<comm::Handle<std::optional<std::uint64_t>>> handles;
     handles.reserve(kItems / 4);
     {
-      comm::OpWindow window(comm::WindowMode::drain);
+      comm::OpWindow window;
       for (int i = 0; i < kItems / 4; ++i) {
         handles.push_back(stack->popAsyncAggregated(guard));
       }
       window.drain();  // mid-window absorb (may be 0: batch still buffered)
-    }  // close: flush + drain to quiescence, one max-fold
+    }  // close: flush + spin-join the rest, one max-fold
     std::uint64_t got = 0;
     for (auto& h : handles) got += h.value().has_value() ? 1 : 0;
     popped.fetch_add(got, std::memory_order_relaxed);
@@ -282,170 +285,42 @@ TEST_F(CommDrainTest, DrainedWindowedPopsNeedNoManualFlush) {
   domain.destroy();
 }
 
-// --- ExecPolicy::worker continuation stealing --------------------------------
-
-TEST_F(CommDrainTest, WorkerContinuationRunsOffTheProgressThread) {
-  startRuntime(2);
-  std::atomic<bool> ran_on_progress{true};
-  auto derived = comm::amAsyncHandle(1, [] {}).then(
-      [&ran_on_progress] {
-        ran_on_progress.store(taskContext().progress_thread);
-      },
-      comm::ExecPolicy::worker);
-  derived.wait();  // the waiter helps execute the deferred body if needed
-  EXPECT_FALSE(ran_on_progress.load())
-      << "worker-policy bodies must never run on the AM service path";
-  EXPECT_GE(comm::counters().continuations_stolen, 1u);
-}
-
-TEST_F(CommDrainTest, WorkerContinuationChargesTheExecutorClock) {
-  startRuntime(2);
+/// Simulated clock after a window that owns one op to locale 1 and one to
+/// locale 2, where locale 2's op is held on its progress thread until the
+/// locale-1 op has landed. With `drain_first` the landed op is absorbed
+/// with drain() before the held op is released and the window closes.
+std::uint64_t clockAfterWindow(bool drain_first) {
   sim::setNow(0);
-  const LatencyModel& lat = runtime_->config().latency;
-  constexpr std::uint64_t kBodyCost = 5000;
-  auto parent = comm::amAsyncHandle(1, [] {});
-  auto derived = parent.then(
-      [] {
-        sim::chargeModelOnly(kBodyCost);
-        return 7;
-      },
-      comm::ExecPolicy::worker);
-  EXPECT_EQ(derived.value(), 7);
-  // Steal-time fold + executor-side charge: the executor (an idle worker
-  // or the helping waiter, both at an earlier clock) max-folds the
-  // parent's join-ready time, then the body's charge extends it.
-  EXPECT_EQ(derived.completionTime(),
-            parent.completionTime() + lat.am_wire_ns + kBodyCost);
-  EXPECT_GE(sim::now(), derived.completionTime());
-  EXPECT_EQ(comm::counters().continuations_stolen, 1u);
-}
-
-TEST_F(CommDrainTest, WorkerContinuationOnAReadyParentStillDefers) {
-  startRuntime(2);
-  auto ready = comm::readyHandle();
-  std::atomic<int> ran{0};
-  auto derived = ready.then([&ran] { ran.fetch_add(1); },
-                            comm::ExecPolicy::worker);
-  // The body was deferred into this locale's group, not run inline; the
-  // wait below (or an idle worker racing us) executes it.
-  derived.wait();
-  EXPECT_EQ(ran.load(), 1);
-  EXPECT_GE(comm::counters().continuations_stolen, 1u);
-}
-
-TEST_F(CommDrainTest, MonadicWorkerContinuationFlattens) {
-  startRuntime(3);
-  sim::setNow(0);
-  std::atomic<int> hops{0};
-  auto chained = comm::amAsyncHandle(1, [&hops] { hops.fetch_add(1); })
-                     .then(
-                         [&hops] {
-                           return comm::amAsyncHandle(2, [&hops] {
-                             hops.fetch_add(1);
-                           });
-                         },
-                         comm::ExecPolicy::worker);
-  chained.wait();
-  EXPECT_EQ(hops.load(), 2) << "both hops ran; the chain flattened";
-  const LatencyModel& lat = runtime_->config().latency;
-  // The second hop launches from the executor at or after the first hop's
-  // join and pays its own wire + service.
-  EXPECT_GE(chained.completionTime(),
-            2 * lat.am_wire_ns + lat.am_service_ns + lat.am_wire_ns +
-                lat.am_service_ns);
-}
-
-TEST_F(CommDrainTest, WorkerContinuationMayIssueAggregatedOps) {
-  // Regression (PR-5 review): a worker-policy body that buffers an
-  // aggregated op rides the EXECUTOR's task aggregator, which no other
-  // task may flush (flushIfBuffered's ownership rule). helpOneDeferred
-  // must ship the executor's batch right after the body, or waiting on
-  // the derived handle hangs on an op that can never ship.
-  startRuntime(2);
-  std::atomic<int> ran{0};
-  auto derived = comm::amAsyncHandle(1, [] {})
-                     .then(
-                         [&ran] {
-                           return comm::taskAggregator().enqueueHandle(
-                               1, [&ran] { ran.fetch_add(1); });
-                         },
-                         comm::ExecPolicy::worker);
-  derived.wait();  // must not hang on the unshipped inner batch
-  EXPECT_EQ(ran.load(), 1);
-}
-
-TEST_F(CommDrainTest, UnenrolledNextAnyStillRunsDeferredContinuations) {
-  // Regression (PR-5 review): the unenrolled fallback of nextAny() must
-  // help execute deferred bodies like next() does -- a consumer
-  // watching its own worker-policy continuation may be the only task
-  // thread able to run it. One pool worker, pinned by a blocking task, so
-  // nobody can rescue a non-helping consumer.
-  startRuntime(2, CommMode::none, /*workers=*/1);
-  std::atomic<bool> pinned{false};
+  const LatencyModel& lat = Runtime::get().config().latency;
   std::atomic<bool> release{false};
-  TaskGroup pin_worker;
-  pin_worker.spawnOn(0, [&pinned, &release] {
-    pinned.store(true);
-    while (!release.load()) std::this_thread::yield();
-  });
-  spinUntil([&] { return pinned.load(); });  // the only worker is now busy
-  std::atomic<int> ran{0};
-  comm::CompletionQueue cq;  // never enrolled
-  cq.watch(comm::amAsyncHandle(1, [] {}).then(
-               [&ran] { ran.fetch_add(1); }, comm::ExecPolicy::worker),
-           5);
-  auto tag = cq.nextAny();  // must help run the body, not park forever
-  ASSERT_TRUE(tag.has_value());
-  EXPECT_EQ(*tag, 5u);
-  EXPECT_EQ(ran.load(), 1);
-  release.store(true);
-  pin_worker.wait();
-}
-
-TEST_F(CommDrainTest, HelpedDeferredBodiesDoNotEnrollIntoTheHelpersWindow) {
-  // Regression (PR-5 review): a waiter helping execute a FOREIGN deferred
-  // body while it has an OpWindow open must not let the body's aggregated
-  // ops auto-enroll into that window -- the close would max-fold an
-  // unrelated chain's join time. helpOneDeferred masks the window.
-  startRuntime(2);
-  std::atomic<int> ran{0};
-  auto derived = comm::amAsyncHandle(1, [] {}).then(
-      [&ran] {
-        return comm::taskAggregator().enqueueHandle(
-            1, [&ran] { ran.fetch_add(1); });
-      },
-      comm::ExecPolicy::worker);
   comm::OpWindow window;
-  derived.wait();  // the helper may run the body with `window` open
-  EXPECT_EQ(window.inFlight(), 0u)
-      << "foreign deferred bodies' ops must not enroll into this window";
+  auto landed = window.add(comm::amAsyncHandle(1, [] {}));
+  auto held = window.add(comm::amAsyncHandle(2, [&release] {
+    while (!release.load()) std::this_thread::yield();
+  }));
+  spinUntil([&] { return landed.ready(); });
+  if (drain_first) {
+    const std::uint64_t before = sim::now();
+    EXPECT_FALSE(held.ready());
+    EXPECT_EQ(window.drain(), 1u) << "only the landed op is absorbed";
+    EXPECT_EQ(window.inFlight(), 1u) << "the held op stays owned";
+    EXPECT_EQ(sim::now(),
+              std::max(before, landed.completionTime() + lat.am_wire_ns))
+        << "drain() folds exactly the landed op's join-ready time";
+  }
+  release.store(true);
   window.join();
-  EXPECT_EQ(ran.load(), 1);
+  EXPECT_GE(sim::now(), held.completionTime() + lat.am_wire_ns);
+  return sim::now();
 }
 
-TEST_F(CommDrainTest, DrainModeWindowCompletesWorkerContinuations) {
-  // A drain-mode window owning a worker-policy continuation must not
-  // deadlock: its close-time drain helps execute the deferred body.
-  startRuntime(2);
-  std::atomic<int> ran{0};
-  {
-    comm::OpWindow window(comm::WindowMode::drain);
-    window.add(comm::amAsyncHandle(1, [] {}).then(
-        [&ran] { ran.fetch_add(1); }, comm::ExecPolicy::worker));
-  }  // close drains; the deferred body runs on a task thread
-  EXPECT_EQ(ran.load(), 1);
-}
-
-TEST_F(CommDrainTest, IdleWorkersExecuteDeferredContinuations) {
-  // Nobody waits on the derived handle: the locale's idle worker threads
-  // must pick the deferred body up from the drain group on their own.
-  startRuntime(2);
-  std::atomic<int> ran{0};
-  auto parent = comm::amAsyncHandle(1, [] {});
-  parent.then([&ran] { ran.fetch_add(1); }, comm::ExecPolicy::worker);
-  spinUntil([&] { return ran.load() == 1; });
-  EXPECT_EQ(ran.load(), 1);
-  EXPECT_GE(comm::counters().continuations_stolen, 1u);
+TEST_F(CommDrainTest, DrainThenCloseEndsOnTheSameClockAsCloseAlone) {
+  startRuntime(3);
+  const std::uint64_t drained = clockAfterWindow(/*drain_first=*/true);
+  runtime_.reset();  // fresh progress-thread timelines for the second run
+  startRuntime(3);
+  const std::uint64_t closed = clockAfterWindow(/*drain_first=*/false);
+  EXPECT_EQ(drained, closed);
 }
 
 // --- the parking-slice knob --------------------------------------------------
@@ -518,7 +393,7 @@ TEST(CommDrainWorkQueueTest, GroupStealingDrainConsumesEverything) {
 }
 
 // Opt-in scale sweep (`ctest -L stress` via -DPGASNB_STRESS=ON): the
-// workers-x-locales grid the drain scheduler must survive.
+// workers-x-locales grid the stealing drain must survive.
 TEST(CommDrainStressTest, DISABLED_WorkersByLocalesSweep) {
   for (std::uint32_t locales : {2u, 4u, 8u}) {
     for (std::uint32_t workers : {1u, 2u, 4u}) {
