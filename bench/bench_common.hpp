@@ -153,9 +153,8 @@ struct BenchOptions {
 
 /// Runtime config for benchmark runs: physical delay injection ON so the
 /// wall column reflects the interconnect model too. Starts from fromEnv()
-/// so the reclamation and batching knobs (PGASNB_RECLAIM_MODE,
-/// PGASNB_INTERVAL_ERA_FREQ, retire policy, aggregator batching, ...) are
-/// sweepable from the environment --
+/// so the reclamation and batching knobs (PGASNB_INTERVAL_ERA_FREQ, retire
+/// policy, aggregator batching, ...) are sweepable from the environment --
 /// scripts/bench_json.sh pins their defaults per recorded run. The sweep
 /// parameters below (locales, workers, comm mode, delay model) are the
 /// bench's own axes and always override the environment.

@@ -1,5 +1,5 @@
 // Distributed work queue: a global-view DistStack as a task bag, consumed
-// by a *locale-wide stealing drain* over per-worker completion queues.
+// by the workers of every locale through one shared completion queue.
 //
 //   ./examples/dist_workqueue [--locales=N] [--items=K] [--workers=W]
 //                             [--comm=ugni|none]
@@ -7,17 +7,14 @@
 // Locale 0 seeds a bag of integration subintervals with aggregated async
 // pushes issued inside a comm::OpWindow -- the whole seed is a handful of
 // batched AMs, and closing the window ships + joins them with no manual
-// flushAll() anywhere. Every locale then runs W worker tasks, each owning
-// a CompletionQueue ENROLLED in the locale's DrainGroup: a window of
-// popAsync operations stays in flight per worker, the home locale's
-// progress thread pushes each completion into the issuing worker's queue,
-// and a worker drains with nextAny() -- its own queue first, then a
-// *steal* from any sibling's (randomized victim order, bounded parking).
-// A worker that finishes its share keeps the locale busy by draining its
-// siblings' backlogs; reissues land in the stealer's queue, so work
-// migrates toward the less-loaded workers. No spin-polling, no shared
-// queue bottleneck: the DrainGroup is the locale's consumer surface. The
-// DistDomain reclaims the work-item nodes while consumers race.
+// flushAll() anywhere. Every locale then opens ONE CompletionQueue and runs
+// W worker tasks on it: each worker primes its round-robin share of a
+// window of popAsync operations, the home locale's progress thread pushes
+// each completion into the locale's queue, and the workers drain it with
+// next(). The queue is MPMC, so each completion reaches exactly one worker,
+// whichever is idle; that worker reissues the slot and integrates the
+// item. No spin-polling: an idle worker parks until a completion lands.
+// The DistDomain reclaims the work-item nodes while consumers race.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -79,18 +76,15 @@ int main(int argc, char** argv) {
     }
   }  // window closes: batch shipped + joined; the bag is fully seeded
 
-  // Consume, locale-wide stealing drain style: each worker keeps its share
-  // of a SHARED slot table in flight through its OWN enrolled queue and
-  // drains with nextAny(). A stolen tag may index any slot; the slot is
-  // touched only by the worker that drained it (the queue/steal locks
-  // order reissue-write -> watch -> drain-read), and its reissue is
-  // watched into the *stealer's* queue -- the migration that keeps every
-  // worker fed. nextAny() returns nullopt once the whole group looks
-  // quiescent; each worker reissues BEFORE computing so that window is
-  // tiny (an idle sibling catching it exits early, which costs
-  // parallelism, never items -- the reissuing workers drain the rest).
-  // At least one in-flight slot per worker, so no worker starts with an
-  // empty share and quits before its siblings have anything to steal.
+  // Consume: each locale keeps a slot table of pops in flight through one
+  // CompletionQueue shared by its workers. A drained tag may index any
+  // slot; the slot is touched only by the worker that drained it (the
+  // queue lock orders reissue-write -> watch -> drain-read). next() returns
+  // nullopt once nothing is outstanding; each worker reissues BEFORE
+  // computing so the drained->rewatched gap stays tiny (an idle worker
+  // catching it exits early, which costs parallelism, never items -- the
+  // reissuing workers drain the rest). At least one in-flight slot per
+  // worker, so every worker primes a share.
   const std::uint64_t window_slots = std::max<std::uint64_t>(8, workers);
   const comm::Counters before = comm::counters();
   std::atomic<std::uint64_t> items_done{0};
@@ -98,13 +92,12 @@ int main(int argc, char** argv) {
   coforallLocales([&, domain, bag] {
     std::vector<comm::Handle<std::optional<WorkItem>>> slots(window_slots);
     std::atomic<bool> bag_drained{false};
+    comm::CompletionQueue cq;
 
     std::vector<CachePadded<std::atomic<double>>> worker_sum(workers);
     std::atomic<std::uint64_t> locale_count{0};
     coforallHere(workers, [&](std::uint32_t w) {
       auto guard = domain.attach();
-      comm::CompletionQueue cq;
-      cq.enrollLocal();  // steal victim for -- and stealer from -- siblings
       // Prime this worker's share of the slot table (round-robin split).
       for (std::uint64_t s = w; s < window_slots; s += workers) {
         guard.pin();
@@ -114,13 +107,13 @@ int main(int argc, char** argv) {
       }
       double sum = 0.0;
       std::uint64_t count = 0;
-      while (auto slot = cq.nextAny()) {  // own queue first, then steal
+      while (auto slot = cq.next()) {
         // Copy the payload out: the reissue below overwrites the slot.
         const std::optional<WorkItem> item = slots[*slot].value();
         if (!item.has_value()) {
           // The bag was empty at this pop's linearization; pops only
           // remove, so it stays empty -- stop reissuing, let the rest of
-          // the group's windows drain (any worker may consume them).
+          // the locale's window drain (any worker may consume it).
           bag_drained.store(true, std::memory_order_relaxed);
           continue;
         }
@@ -130,7 +123,7 @@ int main(int argc, char** argv) {
           guard.pin();
           slots[*slot] = bag->popAsync(guard);
           guard.unpin();
-          cq.watch(slots[*slot], *slot);  // reissue lands in MY queue
+          cq.watch(slots[*slot], *slot);
         }
         sum += integrate(*item);
         ++count;
@@ -138,7 +131,7 @@ int main(int argc, char** argv) {
       }
       worker_sum[w]->store(sum, std::memory_order_relaxed);
       locale_count.fetch_add(count, std::memory_order_relaxed);
-    });  // queues unenroll from the DrainGroup as the workers return
+    });
 
     double locale_sum = 0.0;
     for (auto& s : worker_sum) locale_sum += s->load(std::memory_order_relaxed);
@@ -155,11 +148,9 @@ int main(int argc, char** argv) {
               cfg.num_locales, workers,
               static_cast<unsigned long long>(items),
               static_cast<unsigned long long>(items_done.load()));
-  std::printf("drained %llu completions, %llu via sibling steals\n",
+  std::printf("drained %llu completions\n",
               static_cast<unsigned long long>(after.cq_drained -
-                                              before.cq_drained),
-              static_cast<unsigned long long>(after.cq_stolen -
-                                              before.cq_stolen));
+                                              before.cq_drained));
   std::printf("integral of 4/(1+x^2) on [0,1] = %.12f (pi = %.12f)\n", pi,
               M_PI);
 

@@ -18,10 +18,9 @@ BUILD_DIR="${PGASNB_BUILD_DIR:-build}"
 OUT_DIR="${PGASNB_BENCH_OUT:-.}"
 BENCH_ARGS="${PGASNB_BENCH_ARGS:---quick}"
 
-# Reclamation knobs: pin the defaults explicitly so recorded runs are
-# reproducible even if the config defaults move later. Override either of
-# them in the environment to sweep.
-export PGASNB_RECLAIM_MODE="${PGASNB_RECLAIM_MODE:-epoch}"
+# Reclamation knob: pin the default explicitly so recorded runs are
+# reproducible even if the config default moves later. Override it in the
+# environment to sweep.
 export PGASNB_INTERVAL_ERA_FREQ="${PGASNB_INTERVAL_ERA_FREQ:-128}"
 
 BENCHES=("$@")

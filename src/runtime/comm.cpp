@@ -20,7 +20,6 @@ struct AtomicCounters {
   std::atomic<std::uint64_t> ops_aggregated{0};
   std::atomic<std::uint64_t> handles_chained{0};
   std::atomic<std::uint64_t> cq_drained{0};
-  std::atomic<std::uint64_t> cq_stolen{0};
   std::atomic<std::uint64_t> puts{0};
   std::atomic<std::uint64_t> gets{0};
   std::atomic<std::uint64_t> dcas_local{0};
@@ -173,21 +172,9 @@ void flushIfBuffered(HandleCore& core) {
 
 void flushTaskAggregatorForDrain() { taskAggregator().flushAll(); }
 
-DrainGroup* localDrainGroup() noexcept {
-  if (!Runtime::active()) return nullptr;
-  return &Runtime::get().locale(Runtime::here()).drainGroup();
-}
-
-std::chrono::microseconds cqParkSlice() noexcept {
-  std::uint32_t us = 200;
-  if (Runtime::active()) us = Runtime::get().config().cq_park_slice_us;
-  return std::chrono::microseconds(us == 0 ? 1 : us);
-}
-
 void noteAmAsync() noexcept { bump(g_counters.am_async); }
 void noteHandlesChained() noexcept { bump(g_counters.handles_chained); }
 void noteCqDrained() noexcept { bump(g_counters.cq_drained); }
-void noteCqStolen() noexcept { bump(g_counters.cq_stolen); }
 
 }  // namespace detail
 
@@ -712,7 +699,6 @@ Counters counters() noexcept {
   snapshot.handles_chained =
       g_counters.handles_chained.load(std::memory_order_relaxed);
   snapshot.cq_drained = g_counters.cq_drained.load(std::memory_order_relaxed);
-  snapshot.cq_stolen = g_counters.cq_stolen.load(std::memory_order_relaxed);
   snapshot.puts = g_counters.puts.load(std::memory_order_relaxed);
   snapshot.gets = g_counters.gets.load(std::memory_order_relaxed);
   snapshot.dcas_local = g_counters.dcas_local.load(std::memory_order_relaxed);
@@ -730,7 +716,6 @@ void resetCounters() noexcept {
   g_counters.ops_aggregated.store(0, std::memory_order_relaxed);
   g_counters.handles_chained.store(0, std::memory_order_relaxed);
   g_counters.cq_drained.store(0, std::memory_order_relaxed);
-  g_counters.cq_stolen.store(0, std::memory_order_relaxed);
   g_counters.puts.store(0, std::memory_order_relaxed);
   g_counters.gets.store(0, std::memory_order_relaxed);
   g_counters.dcas_local.store(0, std::memory_order_relaxed);

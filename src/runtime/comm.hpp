@@ -21,9 +21,9 @@
 // flushes and joins them at the max simulated time -- see the class below
 // and docs/ARCHITECTURE.md for the lifecycle.
 //
-// Consumption can be shared locale-wide: every locale owns a `DrainGroup`
-// (runtime/drain_group.hpp) that registers sibling CompletionQueues
-// (`enrollLocal()` + steal-from-any `nextAny()` draining).
+// Completions can be drained instead of joined one by one: a
+// `CompletionQueue` is MPMC, so several worker tasks on a locale share one
+// queue and each completion reaches exactly one of them.
 //
 // This is the layer where CommMode matters:
 //
@@ -58,7 +58,6 @@
 #include <utility>
 #include <vector>
 
-#include "runtime/drain_group.hpp"
 #include "runtime/runtime.hpp"
 #include "util/backoff.hpp"
 #include "util/check.hpp"
@@ -155,13 +154,6 @@ void flushIfBuffered(HandleCore& core);
 /// not leave its own aggregated ops unshipped. Defined in comm.cpp (the
 /// Aggregator lives below).
 void flushTaskAggregatorForDrain();
-
-/// The calling locale's DrainGroup, or nullptr when no runtime is active.
-DrainGroup* localDrainGroup() noexcept;
-
-/// The bounded parking slice consumers wait per probe round
-/// (RuntimeConfig::cq_park_slice_us; 200us without a runtime, never 0).
-std::chrono::microseconds cqParkSlice() noexcept;
 
 // Counter hooks for the header-only combinators (the counters themselves
 // live in comm.cpp).
@@ -417,6 +409,30 @@ Handle<> whenAll(std::vector<Handle<T>>& handles) {
 
 // --- completion queues -----------------------------------------------------
 
+namespace detail {
+
+/// One drainable completion: the watcher's tag plus the operation's
+/// join-ready simulated time (completion + return wire, ready to max-fold).
+struct ReadyCompletion {
+  std::uint64_t tag = 0;
+  std::uint64_t join = 0;
+};
+
+/// The state a CompletionQueue shares with its watchers (see the class).
+/// `outstanding` counts watched-but-not-yet-drained completions; `ready`
+/// items are included in it (a watch only leaves the count when popped).
+struct CqShared {
+  mutable std::mutex lock;
+  std::condition_variable cv;
+  std::deque<ReadyCompletion> ready;
+  std::size_t outstanding = 0;
+};
+
+/// How long a consumer parks per slice before re-probing its queue.
+inline constexpr std::chrono::microseconds kCqParkSlice{200};
+
+}  // namespace detail
+
 /// A drain point for async completions: `watch` registers a handle under a
 /// caller-chosen tag; whichever thread completes the operation (typically a
 /// progress thread) *pushes* the completion in, and consumers pop with
@@ -426,16 +442,12 @@ Handle<> whenAll(std::vector<Handle<T>>& handles) {
 /// is the progress thread's FIFO (busy_until) service order.
 ///
 /// The queue is **MPMC**: producers (progress threads) may be many, and
-/// since PR 4 so may consumers -- N worker tasks per locale can share one
-/// queue, each blocking in next() and waking per completion; every drained
-/// completion is delivered to exactly one consumer, which folds its join
-/// time. `enrollLocal()` + `nextAny()` add a locale-wide work-stealing
-/// drain: the queue registers with its locale's DrainGroup and a consumer
-/// steals a ready completion from *any* enrolled sibling when its own
-/// queue runs empty (randomized victim order, bounded parking). Watched
-/// handles keep the queue's shared state alive, so dropping the queue
-/// with watches outstanding is safe -- the late completions are simply
-/// discarded (and the destructor unenrolls from the drain group).
+/// so may consumers -- N worker tasks per locale can share one queue, each
+/// blocking in next() and waking per completion; every drained completion
+/// is delivered to exactly one consumer, which folds its join time. This
+/// is how a locale's workers drain one backlog. Watched handles keep the
+/// queue's shared state alive, so dropping the queue with watches
+/// outstanding is safe -- the late completions are simply discarded.
 ///
 /// A consumer about to block first ships anything buffered in its *own*
 /// task Aggregator, so draining a window of aggregated ops needs no manual
@@ -446,41 +458,6 @@ class CompletionQueue {
   CompletionQueue() : state_(std::make_shared<detail::CqShared>()) {}
   CompletionQueue(const CompletionQueue&) = delete;
   CompletionQueue& operator=(const CompletionQueue&) = delete;
-  ~CompletionQueue() {
-    if (group_ != nullptr && Runtime::active() &&
-        Runtime::get().generation() == group_generation_) {
-      group_->unenroll(state_.get());
-    }
-  }
-
-  /// Register this queue with the calling locale's DrainGroup, making it a
-  /// steal victim for -- and its consumers stealers from -- every sibling
-  /// queue enrolled on the locale. All queues enrolled on one locale share
-  /// ONE tag namespace: a stolen completion surfaces from the stealer's
-  /// nextAny() with the tag the victim's watcher chose (see
-  /// DrainGroup::enroll). Idempotent per runtime generation; requires an
-  /// active runtime. The destructor unenrolls (same generation only).
-  void enrollLocal() {
-    PGASNB_CHECK_MSG(Runtime::active(),
-                     "CompletionQueue::enrollLocal needs an active runtime");
-    DrainGroup* group = detail::localDrainGroup();
-    if (group == nullptr) return;
-    // Re-enroll after a runtime restart even when the new locale's group
-    // landed at the old address: pointer identity alone cannot prove the
-    // registration survived.
-    const std::uint64_t generation = Runtime::get().generation();
-    if (group == group_ && generation == group_generation_) return;
-    // Moving to a different group of the SAME runtime (enrollLocal called
-    // from another locale): drop the old registration first -- a queue
-    // must never be a steal victim in two groups at once, tag namespaces
-    // are per locale. A dead runtime's group is simply forgotten.
-    if (group_ != nullptr && generation == group_generation_) {
-      group_->unenroll(state_.get());
-    }
-    group->enroll(state_);
-    group_ = group;
-    group_generation_ = generation;
-  }
 
   /// Register `h`; its completion will surface from next()/tryNext() (on
   /// exactly one consumer) as `tag`. Non-blocking, charges nothing; an
@@ -517,7 +494,7 @@ class CompletionQueue {
       // About to go idle: a watched op still sitting in our own aggregator
       // would never ship (we are its only flusher) -- send it now.
       detail::flushTaskAggregatorForDrain();
-      parkOn(*this);
+      park();
     }
   }
 
@@ -539,54 +516,6 @@ class CompletionQueue {
     return true;
   }
 
-  /// Locale-wide work-stealing drain: pop from this queue when something
-  /// is ready, otherwise steal a ready completion from any sibling of the
-  /// group this queue is **enrolled in** (`enrollLocal()`; without an
-  /// enrollment -- or after that runtime died -- nextAny degrades to a
-  /// plain next()-style drain of the own queue: a queue the group has no
-  /// record of must neither steal sibling tags it cannot interpret nor
-  /// wait on a group it is invisible to). Parks in bounded slices while
-  /// this queue or any sibling has watches outstanding; returns nullopt
-  /// once the whole group has nothing ready or outstanding. Stolen joins
-  /// fold into the stealer's clock, like any drain.
-  ///
-  /// Termination is a racy snapshot: with consumers that REISSUE after
-  /// draining (pop -> compute -> watch), the group can look momentarily
-  /// quiescent inside one consumer's drained->rewatched gap, letting an
-  /// idle sibling return nullopt early. No completion is ever lost -- the
-  /// reissuing consumers drain what remains -- but rewatch *before* heavy
-  /// compute when full-width parallelism matters.
-  std::optional<std::uint64_t> nextAny() {
-    DrainGroup* group = enrolledGroup();
-    for (;;) {
-      std::uint64_t tag = 0;
-      if (tryNext(tag)) return tag;
-      if (group != nullptr) {
-        detail::ReadyCompletion stolen;
-        if (group->stealReady(state_.get(), stolen)) {
-          detail::noteCqDrained();
-          sim::joinAtLeast(stolen.join);
-          return stolen.tag;
-        }
-      }
-      detail::flushTaskAggregatorForDrain();
-      // Park where work can still appear: on our own queue while it has
-      // outstanding watches...
-      if (outstanding() != 0) {
-        parkOn(*this);
-        continue;
-      }
-      if (group == nullptr) return std::nullopt;
-      // ...else on a producing sibling -- a stealer with an empty own
-      // queue must sleep, not busy-probe its victims. The park probe
-      // doubles as the termination predicate: no sibling outstanding means
-      // the group is quiescent.
-      if (!group->parkOnAnySibling(state_.get(), detail::cqParkSlice())) {
-        return std::nullopt;
-      }
-    }
-  }
-
   /// Watched-but-not-yet-drained completions (racy snapshot, like any
   /// concurrent size).
   std::size_t outstanding() const {
@@ -595,29 +524,16 @@ class CompletionQueue {
   }
 
  private:
-  /// The group this queue is enrolled in, or nullptr when never enrolled
-  /// or when the runtime it enrolled under is no longer the active one
-  /// (the pointer would dangle into a dead Locale).
-  DrainGroup* enrolledGroup() const noexcept {
-    if (group_ == nullptr || !Runtime::active() ||
-        Runtime::get().generation() != group_generation_) {
-      return nullptr;
-    }
-    return group_;
-  }
-
-  /// One bounded parking slice on `q`'s condition variable (woken early by
-  /// a completion landing there or its outstanding count reaching 0).
-  static void parkOn(CompletionQueue& q) {
-    std::unique_lock<std::mutex> g(q.state_->lock);
-    q.state_->cv.wait_for(g, detail::cqParkSlice(), [&] {
-      return !q.state_->ready.empty() || q.state_->outstanding == 0;
+  /// One bounded parking slice on the queue's condition variable (woken
+  /// early by a completion landing or the outstanding count reaching 0).
+  void park() {
+    std::unique_lock<std::mutex> g(state_->lock);
+    state_->cv.wait_for(g, detail::kCqParkSlice, [&] {
+      return !state_->ready.empty() || state_->outstanding == 0;
     });
   }
 
   std::shared_ptr<detail::CqShared> state_;
-  DrainGroup* group_ = nullptr;            // non-null once enrolled
-  std::uint64_t group_generation_ = 0;     // runtime generation at enroll
 };
 
 // --- remote execution -------------------------------------------------
@@ -940,8 +856,6 @@ struct Counters {
   std::uint64_t ops_aggregated = 0;  ///< logical ops routed through Aggregators
   std::uint64_t handles_chained = 0; ///< combinator handles (then/whenAll)
   std::uint64_t cq_drained = 0;      ///< completions popped from CompletionQueues
-  std::uint64_t cq_stolen = 0;       ///< completions taken from a sibling queue
-                                     ///< (DrainGroup::stealReady)
   // Always 0 (continuations run where their parent completes, and
   // batching is static); kept while perfbench reads them.
   std::uint64_t backpressure_stalls = 0;

@@ -53,25 +53,6 @@ RemoteRetirePolicy parseRemoteRetirePolicy(const std::string& text,
   return def;
 }
 
-const char* toString(ReclaimMode mode) noexcept {
-  switch (mode) {
-    case ReclaimMode::ebr:
-      return "ebr";
-    case ReclaimMode::interval:
-      return "interval";
-  }
-  return "?";
-}
-
-ReclaimMode parseReclaimMode(const std::string& text, ReclaimMode def) {
-  std::string lower(text);
-  std::transform(lower.begin(), lower.end(), lower.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  if (lower == "ebr" || lower == "epoch") return ReclaimMode::ebr;
-  if (lower == "interval" || lower == "ibr") return ReclaimMode::interval;
-  return def;
-}
-
 namespace {
 
 const char* envOrNull(const char* name) { return std::getenv(name); }
@@ -110,13 +91,6 @@ RuntimeConfig RuntimeConfig::fromEnv() {
   if (const char* v = envOrNull("PGASNB_AGG_MAX_BATCH_AGE")) {
     cfg.aggregator_max_batch_age_ns = std::strtoull(v, nullptr, 0);
   }
-  if (const char* v = envOrNull("PGASNB_CQ_PARK_SLICE")) {
-    cfg.cq_park_slice_us =
-        static_cast<std::uint32_t>(std::strtoul(v, nullptr, 0));
-  }
-  if (const char* v = envOrNull("PGASNB_RECLAIM_MODE")) {
-    cfg.reclaim_mode = parseReclaimMode(v, cfg.reclaim_mode);
-  }
   if (const char* v = envOrNull("PGASNB_INTERVAL_ERA_FREQ")) {
     cfg.interval_era_freq =
         static_cast<std::uint32_t>(std::strtoul(v, nullptr, 0));
@@ -136,7 +110,6 @@ std::string RuntimeConfig::describe() const {
   os << "locales=" << num_locales << " workers/locale=" << workers_per_locale
      << " comm=" << toString(comm_mode)
      << " retire=" << toString(remote_retire)
-     << " reclaim=" << toString(reclaim_mode)
      << " rh_resize_load=" << rh_resize_load
      << " rh_migrate_chunk=" << rh_migrate_chunk
      << " inject=" << (inject_delays ? "yes" : "no")

@@ -51,24 +51,6 @@ RemoteRetirePolicy parseRemoteRetirePolicy(
     const std::string& text,
     RemoteRetirePolicy def = RemoteRetirePolicy::aggregated);
 
-/// Which reclamation protocol DistDomain-style structures should default
-/// to in harnesses that honor it (benches, stress tests):
-///   * ebr      - the paper's epoch-based manager (EpochManager).
-///   * interval - interval-based reclamation (epoch/interval_manager.hpp):
-///                birth-era tagged blocks plus per-guard [lo, hi]
-///                reservations; a lagging pinned guard holds back only the
-///                garbage its interval covers, not all reclamation.
-enum class ReclaimMode : std::uint8_t {
-  ebr,
-  interval,
-};
-
-const char* toString(ReclaimMode mode) noexcept;
-
-/// Parses "ebr"/"interval" (case-insensitive); falls back to `def`.
-ReclaimMode parseReclaimMode(const std::string& text,
-                             ReclaimMode def = ReclaimMode::ebr);
-
 struct RuntimeConfig {
   /// Number of simulated locales (compute nodes). The pointer-compression
   /// scheme supports up to 2^16; see atomic/pointer_compression.hpp.
@@ -83,9 +65,6 @@ struct RuntimeConfig {
 
   /// Cross-locale retire routing (see RemoteRetirePolicy).
   RemoteRetirePolicy remote_retire = RemoteRetirePolicy::aggregated;
-
-  /// Reclamation protocol for mode-aware harnesses (see ReclaimMode).
-  ReclaimMode reclaim_mode = ReclaimMode::ebr;
 
   /// Interval manager: bump the shared era clock every N retires per locale
   /// (Hart-style retire-path amortization), so reservations age out even
@@ -105,14 +84,6 @@ struct RuntimeConfig {
   /// at each enqueue and on flushAged()), instead of waiting for
   /// batch-full/unpin. 0 disables age-based flushing.
   std::uint64_t aggregator_max_batch_age_ns = 100'000;
-
-  /// Completion-surface parking slice (*wall-clock* microseconds): how long
-  /// a CompletionQueue consumer (next/nextAny) parks per slice before
-  /// re-probing its own queue and, for nextAny, its siblings for steals.
-  /// Smaller = more responsive stealing, more wakeups; 0 is clamped to 1.
-  /// (Idle locale workers don't poll on this -- they block on their task
-  /// queue.)
-  std::uint32_t cq_park_slice_us = 200;
 
   /// RobinHoodMap: per-segment load factor that starts an incremental
   /// doubling (shadow table + chunked migration). <= 0 disables resize, so
@@ -136,9 +107,8 @@ struct RuntimeConfig {
 
   /// Reads PGASNB_NUM_LOCALES, PGASNB_COMM_MODE, PGASNB_WORKERS,
   /// PGASNB_INJECT_DELAYS, PGASNB_DELAY_SCALE, PGASNB_REMOTE_RETIRE,
-  /// PGASNB_RECLAIM_MODE, PGASNB_INTERVAL_ERA_FREQ, PGASNB_RETIRE_BATCH,
-  /// PGASNB_AGG_OPS_PER_BATCH, PGASNB_AGG_MAX_BATCH_AGE,
-  /// PGASNB_CQ_PARK_SLICE, PGASNB_RH_RESIZE_LOAD, PGASNB_RH_MIGRATE_CHUNK
+  /// PGASNB_INTERVAL_ERA_FREQ, PGASNB_RETIRE_BATCH, PGASNB_AGG_OPS_PER_BATCH,
+  /// PGASNB_AGG_MAX_BATCH_AGE, PGASNB_RH_RESIZE_LOAD, PGASNB_RH_MIGRATE_CHUNK
   /// on top of the defaults.
   static RuntimeConfig fromEnv();
 

@@ -1,8 +1,7 @@
 // A simulated locale: one compute node of the PGAS machine.
 //
 // Owns its memory arena, its active-message queue + progress thread, a task
-// queue + persistent workers, its drain group (the locale-wide
-// CompletionQueue registry), and its slice of the privatization table.
+// queue + persistent workers, and its slice of the privatization table.
 #pragma once
 
 #include <atomic>
@@ -13,7 +12,6 @@
 
 #include "runtime/active_message.hpp"
 #include "runtime/arena.hpp"
-#include "runtime/drain_group.hpp"
 #include "runtime/task.hpp"
 
 namespace pgasnb {
@@ -33,9 +31,6 @@ class Locale {
   Arena& arena() noexcept { return arena_; }
   AmQueue& amQueue() noexcept { return am_queue_; }
   TaskQueue& taskQueue() noexcept { return task_queue_; }
-  /// The sibling CompletionQueue registry behind steal-from-any draining;
-  /// see runtime/drain_group.hpp.
-  comm::DrainGroup& drainGroup() noexcept { return drain_group_; }
 
   /// Starts the progress thread and workers; called by the Runtime after the
   /// global instance pointer is published (threads consult Runtime::get()).
@@ -61,7 +56,6 @@ class Locale {
   Arena arena_;
   AmQueue am_queue_;
   TaskQueue task_queue_;
-  comm::DrainGroup drain_group_;
   std::uint32_t num_workers_;
   std::unique_ptr<ProgressThread> progress_;
   std::vector<std::thread> workers_;

@@ -232,23 +232,19 @@ TEST_F(CommAsyncTest, CompletionQueueDrainsInFifoCompletionOrder) {
   EXPECT_EQ(comm::counters().cq_drained, 2u);
 }
 
-TEST_F(CommAsyncTest, StealCounterSnapshotAndReset) {
+TEST_F(CommAsyncTest, DrainCounterSnapshotAndReset) {
   startRuntime(2);
-  // One steal: everything lands in the enrolled sibling `other`, so
-  // nextAny must take it from there.
-  comm::CompletionQueue mine;
-  comm::CompletionQueue other;
-  mine.enrollLocal();
-  other.enrollLocal();
+  comm::CompletionQueue cq;
   auto h = comm::amAsyncHandle(1, [] {});
   h.wait();
-  other.watch(h, 1);
-  ASSERT_TRUE(mine.nextAny().has_value());
-  EXPECT_EQ(comm::counters().cq_stolen, 1u);
+  cq.watch(h, 1);
+  ASSERT_TRUE(cq.next().has_value());
+  EXPECT_EQ(comm::counters().cq_drained, 1u);
+  EXPECT_EQ(comm::counters().am_async, 1u);
   comm::resetCounters();
   const comm::Counters zeroed = comm::counters();
-  EXPECT_EQ(zeroed.cq_stolen, 0u);
   EXPECT_EQ(zeroed.cq_drained, 0u);
+  EXPECT_EQ(zeroed.am_async, 0u);
 }
 
 TEST_F(CommAsyncTest, TaskAggregatorKeepsTheConfiguredBatchKnobs) {

@@ -1,15 +1,11 @@
-// The locale-wide drain surface: DrainGroup enrollment and
-// steal-from-any-sibling draining (CompletionQueue::enrollLocal +
-// nextAny), mid-window OpWindow::drain() (absorbs landed ops, never
-// ships, same clock as a plain close, nesting), the cq_park_slice_us
-// knob, and a workers-x-locales stealing work-queue sweep (the full sweep
-// is the `-L stress` variant).
+// The drain surface: mid-window OpWindow::drain() (absorbs landed ops,
+// never ships, same clock as a plain close, nesting) and a
+// workers-x-locales work-queue sweep in which a locale's workers share one
+// MPMC CompletionQueue (the full sweep is the `-L stress` variant).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
-#include <memory>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -26,161 +22,6 @@ class CommDrainTest : public RuntimeTest {
  protected:
   void SetUp() override { comm::resetCounters(); }
 };
-
-// --- DrainGroup enrollment and sibling stealing ------------------------------
-
-TEST_F(CommDrainTest, EnrollmentTracksGroupMembership) {
-  startRuntime(2);
-  comm::DrainGroup& group =
-      Runtime::get().locale(Runtime::here()).drainGroup();
-  EXPECT_EQ(group.enrolledApprox(), 0u);
-  {
-    comm::CompletionQueue a;
-    comm::CompletionQueue b;
-    a.enrollLocal();
-    a.enrollLocal();  // idempotent
-    b.enrollLocal();
-    EXPECT_EQ(group.enrolledApprox(), 2u);
-  }  // destructors unenroll
-  EXPECT_EQ(group.enrolledApprox(), 0u);
-}
-
-TEST_F(CommDrainTest, EnrollLocalReenrollsAfterRuntimeRestart) {
-  // Regression (PR-5 review): pointer identity of the group alone cannot
-  // prove a registration survived a runtime restart -- the new locale's
-  // DrainGroup can land at the old address.
-  startRuntime(2);
-  comm::CompletionQueue cq;
-  cq.enrollLocal();
-  EXPECT_EQ(Runtime::get().locale(0).drainGroup().enrolledApprox(), 1u);
-  runtime_.reset();
-  startRuntime(2);
-  EXPECT_EQ(Runtime::get().locale(0).drainGroup().enrolledApprox(), 0u);
-  cq.enrollLocal();  // new generation: must register with the new group
-  EXPECT_EQ(Runtime::get().locale(0).drainGroup().enrolledApprox(), 1u);
-}
-
-TEST_F(CommDrainTest, NextAnyStealsFromAnySibling) {
-  startRuntime(2);
-  comm::CompletionQueue q0;
-  comm::CompletionQueue q1;
-  comm::CompletionQueue thief;
-  q0.enrollLocal();
-  q1.enrollLocal();
-  thief.enrollLocal();
-  // Ready completions land in q0 and q1; the thief's own queue stays
-  // empty, so every drain below must be a steal.
-  for (std::uint64_t i = 0; i < 3; ++i) {
-    auto h = comm::amAsyncHandle(1, [] {});
-    h.wait();
-    q0.watch(h, 100 + i);
-    auto g = comm::amAsyncHandle(1, [] {});
-    g.wait();
-    q1.watch(g, 200 + i);
-  }
-  std::vector<bool> seen(1000, false);
-  std::size_t stolen = 0;
-  while (auto tag = thief.nextAny()) {
-    ASSERT_FALSE(seen[*tag]) << "tag delivered twice: " << *tag;
-    seen[*tag] = true;
-    ++stolen;
-  }
-  EXPECT_EQ(stolen, 6u) << "the thief drains both siblings dry";
-  EXPECT_EQ(q0.outstanding(), 0u);
-  EXPECT_EQ(q1.outstanding(), 0u);
-  EXPECT_EQ(comm::counters().cq_stolen, 6u);
-  EXPECT_EQ(comm::counters().cq_drained, 6u)
-      << "stolen completions count as drained too";
-}
-
-TEST_F(CommDrainTest, NextAnyPrefersOwnQueue) {
-  startRuntime(2);
-  comm::CompletionQueue mine;
-  comm::CompletionQueue other;
-  mine.enrollLocal();
-  other.enrollLocal();
-  auto hm = comm::amAsyncHandle(1, [] {});
-  auto ho = comm::amAsyncHandle(1, [] {});
-  hm.wait();
-  ho.wait();
-  mine.watch(hm, 1);
-  other.watch(ho, 2);
-  auto first = mine.nextAny();
-  ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(*first, 1u) << "own completions drain before steals";
-  auto second = mine.nextAny();
-  ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(*second, 2u);
-  EXPECT_FALSE(mine.nextAny().has_value())
-      << "group quiesced: nothing ready or outstanding";
-}
-
-TEST_F(CommDrainTest, NextAnyWithoutEnrollmentDrainsOwnQueue) {
-  // nextAny() degrades to a plain drain when the queue never enrolled --
-  // the group has no record of it, but its own completions still surface.
-  startRuntime(2);
-  comm::CompletionQueue cq;
-  for (std::uint64_t i = 0; i < 4; ++i) {
-    cq.watch(comm::amAsyncHandle(1, [] {}), i);
-  }
-  std::size_t drained = 0;
-  while (cq.nextAny().has_value()) ++drained;
-  EXPECT_EQ(drained, 4u);
-}
-
-TEST_F(CommDrainTest, UnenrolledNextAnyDoesNotStealFromEnrolledSiblings) {
-  // Regression (PR-5 review): tags only have meaning inside one group's
-  // shared namespace. A queue that never enrolled must neither steal a
-  // sibling's completion (it would misread the tag) nor wait on a group
-  // it is invisible to.
-  startRuntime(2);
-  comm::CompletionQueue enrolled;
-  enrolled.enrollLocal();
-  auto sibling_op = comm::amAsyncHandle(1, [] {});
-  sibling_op.wait();
-  enrolled.watch(sibling_op, 7);
-  comm::CompletionQueue loner;  // never enrolled: private tag namespace
-  auto own_op = comm::amAsyncHandle(1, [] {});
-  own_op.wait();
-  loner.watch(own_op, 1);
-  auto first = loner.nextAny();
-  ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(*first, 1u);
-  EXPECT_FALSE(loner.nextAny().has_value())
-      << "no enrollment: must not steal tag 7, nor block on the sibling";
-  EXPECT_EQ(enrolled.outstanding(), 1u) << "the sibling's completion stays";
-  EXPECT_EQ(*enrolled.nextAny(), 7u);
-}
-
-TEST_F(CommDrainTest, MultiWorkerGroupStealingDeliversExactlyOnce) {
-  // All the work lands in worker 0's queue; workers 1 and 2 can only make
-  // progress by stealing through the group. Every completion must still be
-  // delivered to exactly one consumer. TSan-clean is part of the contract.
-  startRuntime(2);
-  constexpr std::uint64_t kOps = 96;
-  constexpr std::uint32_t kWorkers = 3;
-  std::vector<std::unique_ptr<comm::CompletionQueue>> queues;
-  for (std::uint32_t w = 0; w < kWorkers; ++w) {
-    queues.push_back(std::make_unique<comm::CompletionQueue>());
-    queues.back()->enrollLocal();
-  }
-  for (std::uint64_t i = 0; i < kOps; ++i) {
-    queues[0]->watch(comm::amAsyncHandle(1, [] {}), i);
-  }
-  std::vector<CachePadded<std::atomic<std::uint64_t>>> delivered(kOps);
-  std::atomic<std::uint64_t> total{0};
-  coforallHere(kWorkers, [&](std::uint32_t w) {
-    while (auto tag = queues[w]->nextAny()) {
-      delivered[*tag]->fetch_add(1, std::memory_order_relaxed);
-      total.fetch_add(1, std::memory_order_relaxed);
-    }
-  });
-  EXPECT_EQ(total.load(), kOps);
-  for (std::uint64_t i = 0; i < kOps; ++i) {
-    EXPECT_EQ(delivered[i]->load(), 1u) << "tag " << i;
-  }
-  for (auto& q : queues) EXPECT_EQ(q->outstanding(), 0u);
-}
 
 // --- mid-window OpWindow::drain() --------------------------------------------
 
@@ -323,21 +164,13 @@ TEST_F(CommDrainTest, DrainThenCloseEndsOnTheSameClockAsCloseAlone) {
   EXPECT_EQ(drained, closed);
 }
 
-// --- the parking-slice knob --------------------------------------------------
+// --- shared-queue work-queue sweep ------------------------------------------
 
-TEST(CommDrainConfigTest, ParkSliceKnobDefaultsAndParsesFromEnv) {
-  EXPECT_EQ(RuntimeConfig{}.cq_park_slice_us, 200u);
-  ::setenv("PGASNB_CQ_PARK_SLICE", "750", 1);
-  EXPECT_EQ(RuntimeConfig::fromEnv().cq_park_slice_us, 750u);
-  ::unsetenv("PGASNB_CQ_PARK_SLICE");
-}
-
-// --- stealing work-queue sweep ----------------------------------------------
-
-// The dist_workqueue shape, scaled: a DistStack bag drained by per-worker
-// enrolled queues with nextAny(). Every item must be consumed exactly once
-// across all locales and workers, whatever the group interleaving.
-void runStealingWorkQueue(std::uint32_t locales, std::uint32_t workers,
+// The dist_workqueue shape, scaled: a DistStack bag drained by the workers
+// of each locale through one shared CompletionQueue. Every item must be
+// consumed exactly once across all locales and workers, whatever the
+// interleaving.
+void runSharedQueueWorkQueue(std::uint32_t locales, std::uint32_t workers,
                           std::uint64_t items) {
   SCOPED_TRACE(::testing::Message() << "locales=" << locales
                                     << " workers=" << workers
@@ -358,17 +191,16 @@ void runStealingWorkQueue(std::uint32_t locales, std::uint32_t workers,
     std::vector<comm::Handle<std::optional<std::uint64_t>>> slots(
         window_slots);
     std::atomic<bool> bag_drained{false};
+    comm::CompletionQueue cq;
     coforallHere(workers, [&](std::uint32_t w) {
       auto guard = domain.attach();
-      comm::CompletionQueue cq;
-      cq.enrollLocal();
       for (std::uint64_t s = w; s < window_slots; s += workers) {
         guard.pin();
         slots[s] = bag->popAsync(guard);
         guard.unpin();
         cq.watch(slots[s], s);
       }
-      while (auto slot = cq.nextAny()) {
+      while (auto slot = cq.next()) {
         if (!slots[*slot].value().has_value()) {
           bag_drained.store(true, std::memory_order_relaxed);
           continue;
@@ -388,16 +220,16 @@ void runStealingWorkQueue(std::uint32_t locales, std::uint32_t workers,
   domain.destroy();
 }
 
-TEST(CommDrainWorkQueueTest, GroupStealingDrainConsumesEverything) {
-  runStealingWorkQueue(/*locales=*/2, /*workers=*/3, /*items=*/192);
+TEST(CommDrainWorkQueueTest, SharedQueueDrainConsumesEverything) {
+  runSharedQueueWorkQueue(/*locales=*/2, /*workers=*/3, /*items=*/192);
 }
 
 // Opt-in scale sweep (`ctest -L stress` via -DPGASNB_STRESS=ON): the
-// workers-x-locales grid the stealing drain must survive.
-TEST(CommDrainStressTest, DISABLED_WorkersByLocalesSweep) {
+// workers-x-locales grid the shared-queue drain must survive.
+TEST(CommDrainStressTest, DISABLED_SharedQueueWorkersByLocalesSweep) {
   for (std::uint32_t locales : {2u, 4u, 8u}) {
     for (std::uint32_t workers : {1u, 2u, 4u}) {
-      runStealingWorkQueue(locales, workers, 128 * locales);
+      runSharedQueueWorkQueue(locales, workers, 128 * locales);
     }
   }
 }

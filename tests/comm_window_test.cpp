@@ -3,8 +3,7 @@
 // add), window join at the max sim-time of the set, LIFO nesting,
 // destructor-flush during exception unwinding, the aggregated DS ops
 // (pushAsyncAggregated / enqueueAsyncAggregated), and the MPMC
-// CompletionQueue (shared drain, work-stealing nextAny between two
-// enrolled queues, stress).
+// CompletionQueue (one queue drained by several consumers, stress).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -379,54 +378,6 @@ TEST_F(CommWindowTest, MpmcStressReissuingConsumers) {
     }
   });
   EXPECT_EQ(completed.load(), kWorkers * kPerWorker);
-}
-
-TEST_F(CommWindowTest, NextAnyStealsWhenOwnQueueIsEmpty) {
-  startRuntime(2);
-  comm::CompletionQueue mine;
-  comm::CompletionQueue other;
-  mine.enrollLocal();
-  other.enrollLocal();
-  std::atomic<int> ran{0};
-  for (std::uint64_t i = 0; i < 4; ++i) {
-    other.watch(comm::amAsyncHandle(1, [&ran] { ran.fetch_add(1); }), 100 + i);
-  }
-  // Nothing in `mine` and the ops still in flight: `mine` parks on the
-  // producing sibling and steals every completion as it lands.
-  std::size_t stolen = 0;
-  while (auto tag = mine.nextAny()) {
-    EXPECT_GE(*tag, 100u);
-    ++stolen;
-  }
-  EXPECT_EQ(stolen, 4u);
-  EXPECT_EQ(ran.load(), 4);
-  EXPECT_EQ(other.outstanding(), 0u);
-  EXPECT_EQ(comm::counters().cq_stolen, 4u);
-}
-
-TEST_F(CommWindowTest, TwoStealersDrainEachOthersBacklog) {
-  // Two workers, each with its own enrolled queue, each draining nextAny():
-  // an imbalanced load must still be fully consumed, from either side.
-  startRuntime(3);
-  comm::CompletionQueue q0;
-  comm::CompletionQueue q1;
-  q0.enrollLocal();
-  q1.enrollLocal();
-  constexpr std::uint64_t kHeavy = 48;
-  std::atomic<std::uint64_t> drained{0};
-  // All the work lands in q0; worker 1 can only make progress by stealing.
-  for (std::uint64_t i = 0; i < kHeavy; ++i) {
-    q0.watch(comm::amAsyncHandle(1 + (i % 2), [] {}), i);
-  }
-  coforallHere(2, [&](std::uint32_t me) {
-    comm::CompletionQueue& own = (me == 0) ? q0 : q1;
-    while (own.nextAny().has_value()) {
-      drained.fetch_add(1, std::memory_order_relaxed);
-    }
-  });
-  EXPECT_EQ(drained.load(), kHeavy);
-  EXPECT_EQ(q0.outstanding(), 0u);
-  EXPECT_EQ(q1.outstanding(), 0u);
 }
 
 }  // namespace
