@@ -16,22 +16,25 @@
 // Three models of the `ReclaimDomain` concept are provided:
 //   * LocalDomain -- wraps LocalEpochManager; runtime-free shared-memory
 //     EBR for ordinary multithreaded programs.
-//   * DistDomain  -- wraps the privatized distributed EpochManager; a
-//     trivially copyable record-wrapper handle, capture it by value in
-//     forall/coforall lambdas exactly like EpochManager.
+//   * DistDomain  -- the paper's distributed EpochManager: a trivially
+//     copyable record-wrapped handle over Privatized<EpochManagerImpl>
+//     (epoch/epoch_manager.hpp); capture it by value in forall/coforall
+//     lambdas.
 //   * IntervalDomain (epoch/interval_manager.hpp) -- interval-based
-//     reclamation over the same guard surface; bounded garbage under a
-//     stalled pinned guard (docs/ARCHITECTURE.md, "Choosing a
-//     reclamation domain").
+//     reclamation with the same handle shape and guard surface; bounded
+//     garbage under a stalled pinned guard (docs/ARCHITECTURE.md,
+//     "Choosing a reclamation domain").
+// The two distributed domains share everything around their protocols --
+// scatter and bulk delete, clear/destroy, the progress-thread guard cache,
+// the counter sums -- in epoch/dist_reclaim.hpp.
 //
 // Every data structure in src/ds/ is templated over a Domain, so one
 // algorithm body serves both builds; the domain also centralizes node
 // allocation (`Domain::make<N>()` / `Domain::destroyNode()` /
 // `Domain::retireNode()`), replacing the per-structure node policies.
 //
-// The managers expose acquireToken() as the low-level entry the domains
-// build on; application code never touches tokens directly. (Migrating
-// from the historical token-registration API? docs/API.md has the table.)
+// Application code never touches tokens directly. (Migrating from the
+// historical token-registration API? docs/API.md has the table.)
 #pragma once
 
 #include <concepts>
@@ -146,21 +149,6 @@ class PinScope {
   GuardT& guard_;
 };
 
-namespace detail {
-/// The calling thread's cached attached guard for `manager`: one token
-/// registration per (OS thread, domain), created lazily and reused across
-/// AM handlers. Entries are dropped by EpochManager::destroy()'s
-/// progress-thread broadcast (before the token pools die) and at thread
-/// exit. Intended for progress threads -- the guard is bound to the
-/// registering thread and locale like any EpochToken.
-DistGuard& threadCachedGuard(const EpochManager& manager);
-/// Drop every cache entry for the domain identified by `pid` on the
-/// calling thread (unregisters the tokens; the instances must still be
-/// alive). EpochManager::destroy() broadcasts this to every progress
-/// thread.
-void dropThreadCachedGuards(std::size_t pid);
-}  // namespace detail
-
 /// Shared-memory reclaim domain: plain C++ threads, heap nodes, no runtime
 /// required. Non-copyable; pass by reference, like the manager it wraps.
 class LocalDomain {
@@ -208,9 +196,9 @@ class LocalDomain {
   std::uint64_t currentEpoch() const noexcept {
     return manager_.currentEpoch();
   }
-  ReclaimStats stats() const { return manager_.stats(); }
+  ReclaimStats stats() const { return manager_.counters().snapshot(); }
   /// Zero the statistics (counters only; call at a quiescent point).
-  void resetStats() { manager_.resetStats(); }
+  void resetStats() { manager_.counters().reset(); }
 
   // --- node hooks (used by the Domain-generic data structures) ------------
   template <typename N, typename... Args>
@@ -226,16 +214,14 @@ class LocalDomain {
     guard.retire(n);
   }
 
-  /// White-box access for tests/benches.
-  LocalEpochManager& manager() noexcept { return manager_; }
-
  private:
   LocalEpochManager manager_;
 };
 
-/// Distributed reclaim domain: a trivially copyable record-wrapper over the
-/// privatized EpochManager. Capture by value in task lambdas; every call
-/// resolves against the executing locale's instance.
+/// Distributed reclaim domain: the paper's EpochManager handle, a trivially
+/// copyable record-wrapper over the privatized EpochManagerImpl. Capture by
+/// value in task lambdas; every call resolves against the executing
+/// locale's instance.
 class DistDomain {
  public:
   using Guard = DistGuard;
@@ -248,42 +234,40 @@ class DistDomain {
   DistDomain() = default;  // invalid handle; use create()
 
   /// Collective: one privatized instance per locale + the global epoch.
-  static DistDomain create() {
-    DistDomain d;
-    d.manager_ = EpochManager::create();
-    return d;
-  }
-  /// Collective teardown: reclaims everything, destroys all instances.
-  void destroy() { manager_.destroy(); }
+  static DistDomain create();
+  /// Collective teardown: reclaims everything, destroys all instances and
+  /// the global epoch.
+  void destroy();
 
-  bool valid() const noexcept { return manager_.valid(); }
+  bool valid() const noexcept { return handle_.valid(); }
 
   /// Register the calling task (token bound to the calling locale) and
   /// enter the current epoch.
-  Guard pin() const { return Guard(manager_.acquireToken(), /*pin_now=*/true); }
-  Guard attach() const {
-    return Guard(manager_.acquireToken(), /*pin_now=*/false);
-  }
+  Guard pin() const { return Guard(acquireToken(), /*pin_now=*/true); }
+  Guard attach() const { return Guard(acquireToken(), /*pin_now=*/false); }
 
   /// The calling thread's cached attached guard for this domain (one token
   /// registration per (thread, domain), reused across AM handlers). Wrap
   /// uses in a PinScope: `PinScope<DistGuard> pin(domain.threadGuard());`.
   /// destroy() drops every progress thread's cache entry for this domain.
   /// Progress threads only (checked): task threads must use pin()/attach().
-  Guard& threadGuard() const { return detail::threadCachedGuard(manager_); }
+  Guard& threadGuard() const { return detail::threadCachedGuard(*this); }
 
-  bool tryReclaim() const { return manager_.tryReclaim(); }
+  bool tryReclaim() const { return detail::epochTryReclaim(handle_); }
   /// Blocking phase-boundary advance (paper's opportunistic tryReclaim
   /// made structural): drives the reclamation protocol until the global
   /// epoch has moved, returns the new epoch. Same quiescence requirement
   /// as LocalDomain::advance(); the batch engine (engine/epoch_engine.hpp)
   /// issues this at every phase boundary, after fencing the AM queues.
-  std::uint64_t advance() const { return manager_.advance(); }
-  void clear() const { manager_.clear(); }
-  std::uint64_t currentEpoch() const { return manager_.currentGlobalEpoch(); }
-  ReclaimStats stats() const { return manager_.stats(); }
+  std::uint64_t advance() const { return detail::epochAdvance(handle_); }
+  /// Reclaim everything across all epochs. Caller guarantees no concurrent
+  /// use (paper's `clear`).
+  void clear() const { detail::clearAll(handle_); }
+  std::uint64_t currentEpoch() const { return global_->epoch.read(); }
+  /// Summed statistics across locales (diagnostic; quiescent-exact).
+  ReclaimStats stats() const;
   /// Zero the statistics on every locale (counters only; quiescent point).
-  void resetStats() const { manager_.resetStats(); }
+  void resetStats() const;
 
   // --- node hooks ---------------------------------------------------------
   /// Nodes live in the calling locale's arena; reclamation ships each node
@@ -308,10 +292,20 @@ class DistDomain {
   }
 
   /// White-box access for tests/benches.
-  EpochManager manager() const noexcept { return manager_; }
+  EpochToken acquireToken() const {
+    return EpochToken(handle_, handle_.local().registerToken());
+  }
+  EpochManagerImpl& implHere() const { return handle_.local(); }
+  EpochManagerImpl* implOn(std::uint32_t locale) const {
+    return handle_.instanceOn(locale);
+  }
+  /// Stable per-domain identity (the privatization slot); keys the
+  /// per-thread cached-guard registry.
+  std::size_t privatizationId() const noexcept { return handle_.id(); }
 
  private:
-  EpochManager manager_;
+  Privatized<EpochManagerImpl> handle_;
+  GlobalEpoch* global_ = nullptr;
 };
 
 /// How a data structure holds on to its domain: distributed domains are

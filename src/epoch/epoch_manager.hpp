@@ -1,15 +1,18 @@
-// EpochManager: distributed, lock-free Epoch-Based Reclamation
-// (paper Sec. II.B-C, Fig. 1-2, Listing 4).
+// The paper's EpochManager: distributed, lock-free Epoch-Based Reclamation
+// (paper Sec. II.B-C, Fig. 1-2, Listing 4). This header holds the protocol
+// -- EpochManagerImpl, the reclaim driver and EpochToken; DistDomain
+// (epoch/domain.hpp) is the record-wrapped handle over it, and the shell it
+// shares with IntervalDomain lives in epoch/dist_reclaim.hpp.
 //
 // Structure
 // ---------
 // * One privatized instance per locale (record-wrapped handle => zero
 //   communication to reach the local instance, even inside distributed
 //   forall loops).
-// * Each instance has three limbo lists -- the epochs e-1, e, e+1 -- a
-//   locale-private epoch cache, a local election flag, a token pool, and a
-//   scatter array used to sort deferred objects by owning locale before
-//   bulk deletion.
+// * Each instance has four limbo lists (epoch/token.hpp explains the extra
+//   grace period), a locale-private epoch cache, a local election flag, a
+//   token pool, and scatter buckets used to sort deferred objects by owning
+//   locale before bulk deletion.
 // * A single GlobalEpoch object lives on locale 0 so all locales reach
 //   consensus on one centralized epoch; it is accessed with network
 //   atomics (RDMA in CommMode::ugni).
@@ -32,10 +35,10 @@
 #include <utility>
 #include <vector>
 
+#include "epoch/dist_reclaim.hpp"
 #include "epoch/limbo_list.hpp"
 #include "epoch/reclaim_stats.hpp"
 #include "epoch/token.hpp"
-#include "runtime/collectives.hpp"
 #include "runtime/comm.hpp"
 #include "runtime/privatization.hpp"
 #include "runtime/runtime.hpp"
@@ -70,7 +73,7 @@ void arenaDeleter(void* p) {
 }  // namespace detail
 
 /// Per-locale privatized instance. Users never touch this directly; it is
-/// public only for tests and the benchmark harness.
+/// public only for tests and the benchmark harness (DistDomain::implHere()).
 class EpochManagerImpl {
  public:
   EpochManagerImpl(GlobalEpoch* global, std::uint32_t num_locales)
@@ -98,11 +101,6 @@ class EpochManagerImpl {
   /// Wait-free: node recycle + one exchange + one store.
   void deferDelete(Token* token, void* obj, ObjectDeleter deleter);
 
-  struct ScatterEntry {
-    void* obj;
-    ObjectDeleter deleter;
-  };
-
   /// Insert one retire shipped from another locale into this locale's
   /// current-epoch limbo list. Runs on the progress thread (per-op AM path).
   /// Inserting at the *receiver's* epoch is safe regardless of sender lag:
@@ -112,35 +110,20 @@ class EpochManagerImpl {
   /// Bulk flavor for aggregated retires: acquires limbo nodes for every
   /// entry, pre-links them, and splices the chain with ONE exchange
   /// (LimboList::pushChain).
-  void insertRemoteRetires(const std::vector<ScatterEntry>& entries);
+  void insertRemoteRetires(const std::vector<detail::ScatterEntry>& entries);
 
-  // --- reclamation machinery (called by free functions below) -----------
+  // --- reclamation machinery (called by the driver below) ---------------
 
-  /// Pop the limbo list `index` and scatter its objects into
-  /// objs_to_delete_ buckets keyed by owning locale; recycles the nodes.
-  void scatterLimboList(std::uint32_t index);
+  /// Pop the limbo list `index` and scatter its objects into `buckets`
+  /// keyed by owning locale; recycles the nodes.
+  void scatterLimboList(std::uint32_t index, detail::ScatterBuckets& buckets);
 
-  /// Delete every object in `objs_to_delete_[dest]`; must run on `dest`.
-  void deleteBucketFor(std::uint32_t dest);
-
-  void clearScatter() {
-    for (auto& bucket : objs_to_delete_) bucket.clear();
+  /// clear(): pop every limbo list into `buckets` (detail::clearAll).
+  void popAllRetired(detail::ScatterBuckets& buckets) {
+    for (std::uint32_t index = 0; index < kNumEpochs; ++index) {
+      scatterLimboList(index, buckets);
+    }
   }
-
-  /// Count `n` fresh deferrals and raise the max_pending high-water mark.
-  void notePendingAfterDefer(std::uint64_t n) noexcept {
-    const std::uint64_t deferred =
-        deferred_.fetch_add(n, std::memory_order_relaxed) + n;
-    detail::raiseMax(max_pending_,
-                     deferred - reclaimed_.load(std::memory_order_relaxed));
-  }
-
-  GlobalEpoch& global() noexcept { return *global_; }
-
-  ReclaimStats statsSnapshot() const;
-  /// Zero this locale's statistics (counters only; see
-  /// LocalEpochManager::resetStats for the quiescence caveat).
-  void resetStatsHere();
 
   // Fields are accessed directly by the reclaim driver in epoch_manager.cpp
   // and by white-box tests; this type is an implementation detail.
@@ -151,16 +134,12 @@ class EpochManagerImpl {
   LimboNodePool<detail::ArenaLimboNodeAlloc> node_pool_;
   TokenPool<detail::ArenaTokenAlloc> tokens_;
 
-  std::vector<std::vector<ScatterEntry>> objs_to_delete_;
+  /// Reusable per-owner buckets for tryReclaim's scatter. Sharing them is
+  /// safe because reclaiming scans run one at a time under the global
+  /// election; clear() uses buckets of its own.
+  detail::ScatterBuckets objs_to_delete_;
 
-  // statistics (relaxed; summed across locales for reports)
-  std::atomic<std::uint64_t> deferred_{0};
-  std::atomic<std::uint64_t> reclaimed_{0};
-  std::atomic<std::uint64_t> advances_{0};
-  std::atomic<std::uint64_t> elections_lost_local_{0};
-  std::atomic<std::uint64_t> elections_lost_global_{0};
-  std::atomic<std::uint64_t> scans_unsafe_{0};
-  std::atomic<std::uint64_t> max_pending_{0};
+  ReclaimCounters counters_;  // summed across locales by DistDomain::stats()
 };
 
 namespace detail {
@@ -175,11 +154,9 @@ bool epochTryReclaim(Privatized<EpochManagerImpl> handle);
 /// become) quiescent or pinned in the current epoch, or the scan never
 /// turns safe and this spins forever.
 std::uint64_t epochAdvance(Privatized<EpochManagerImpl> handle);
-/// Reclaim everything in every epoch; caller guarantees quiescence.
-void epochClearAll(Privatized<EpochManagerImpl> handle);
 }  // namespace detail
 
-class EpochManager;
+class DistDomain;
 
 /// RAII token handle (the paper wraps tokens in a managed class so scope
 /// exit unregisters them -- this is the C++ equivalent, which makes the
@@ -292,7 +269,7 @@ class EpochToken {
   }
 
  private:
-  friend class EpochManager;
+  friend class DistDomain;
   EpochToken(Privatized<EpochManagerImpl> handle, Token* token)
       : handle_(handle),
         token_(token),
@@ -315,67 +292,7 @@ class EpochToken {
   std::uint32_t home_ = 0;                ///< registering locale
   std::thread::id owner_thread_;          ///< registering OS thread
   /// Aggregated-retire buffers, one per destination locale (lazily sized).
-  std::vector<std::vector<EpochManagerImpl::ScatterEntry>> pending_remote_;
-};
-
-/// Global-view EpochManager handle. Trivially copyable record-wrapper:
-/// capture it by value in forall/coforall lambdas and every call resolves
-/// to the privatized instance of the executing locale.
-class EpochManager {
- public:
-  EpochManager() = default;  // invalid handle; use create()
-
-  /// Collective: creates the global epoch (locale 0) and one privatized
-  /// instance per locale.
-  static EpochManager create();
-
-  /// Collective teardown: reclaims all deferred objects, then destroys the
-  /// per-locale instances and the global epoch.
-  void destroy();
-
-  bool valid() const noexcept { return handle_.valid(); }
-
-  /// Register the calling task; the token is bound to the calling locale.
-  /// Low-level entry used by DistDomain::pin()/attach() -- application code
-  /// should program against Guards (epoch/domain.hpp).
-  EpochToken acquireToken() const {
-    return EpochToken(handle_, handle_.local().registerToken());
-  }
-
-  bool tryReclaim() const { return detail::epochTryReclaim(handle_); }
-
-  /// Blocking phase-boundary advance (see detail::epochAdvance): retries
-  /// tryReclaim until the global epoch moves, then returns the new epoch.
-  std::uint64_t advance() const { return detail::epochAdvance(handle_); }
-
-  /// Reclaim everything across all epochs. Caller guarantees no concurrent
-  /// use (paper's `clear`).
-  void clear() const { detail::epochClearAll(handle_); }
-
-  std::uint64_t currentGlobalEpoch() const {
-    return handle_.local().global().epoch.read();
-  }
-
-  /// Summed statistics across locales (diagnostic; quiescent-exact).
-  ReclaimStats stats() const;
-
-  /// Zero the statistics on every locale (counters only). Call at a
-  /// quiescent point -- typically right after clear().
-  void resetStats() const;
-
-  /// White-box access for tests/benches.
-  EpochManagerImpl& implHere() const { return handle_.local(); }
-  EpochManagerImpl* implOn(std::uint32_t locale) const {
-    return handle_.instanceOn(locale);
-  }
-
-  /// Stable per-domain identity (the privatization slot); keys the
-  /// per-thread cached-guard registry.
-  std::size_t privatizationId() const noexcept { return handle_.id(); }
-
- private:
-  Privatized<EpochManagerImpl> handle_;
-  GlobalEpoch* global_ = nullptr;
+  detail::ScatterBuckets pending_remote_;
 };
 
 }  // namespace pgasnb

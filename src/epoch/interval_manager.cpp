@@ -1,9 +1,7 @@
 #include "epoch/interval_manager.hpp"
 
-#include <memory>
 #include <vector>
 
-#include "runtime/task.hpp"
 #include "util/backoff.hpp"
 
 namespace pgasnb {
@@ -12,82 +10,6 @@ std::atomic<std::uint64_t>& intervalEraClock() noexcept {
   static std::atomic<std::uint64_t> era{1};
   return era;
 }
-
-// ---------------------------------------------------------------------------
-// Per-thread cached guards (progress-thread handler pins)
-// ---------------------------------------------------------------------------
-//
-// Mirror of the EpochManager guard cache (epoch_manager.cpp): one attached
-// IntervalGuard per (thread, domain), keyed by (runtime generation,
-// privatization id), dropped by IntervalDomain::destroy()'s progress-thread
-// broadcast, abandoned when the runtime died first.
-
-namespace detail {
-
-namespace {
-
-struct CachedIntervalGuardEntry {
-  std::uint64_t generation = 0;
-  std::size_t pid = 0;
-  IntervalGuard guard;
-};
-
-struct IntervalGuardCache {
-  std::vector<std::unique_ptr<CachedIntervalGuardEntry>> entries;
-
-  ~IntervalGuardCache() {
-    for (auto& entry : entries) {
-      if (!Runtime::active() ||
-          Runtime::get().generation() != entry->generation) {
-        entry->guard.token().abandon();
-      }
-    }
-  }
-};
-
-IntervalGuardCache& intervalGuardCache() {
-  thread_local IntervalGuardCache cache;
-  return cache;
-}
-
-}  // namespace
-
-IntervalGuard& threadCachedIntervalGuard(const IntervalDomain& domain) {
-  PGASNB_CHECK_MSG(taskContext().progress_thread,
-                   "threadGuard(): cached guards are progress-thread state; "
-                   "use domain.pin()/attach() from tasks");
-  auto& entries = intervalGuardCache().entries;
-  const std::uint64_t gen = Runtime::get().generation();
-  const std::size_t pid = domain.privatizationId();
-  for (auto it = entries.begin(); it != entries.end();) {
-    if ((*it)->generation != gen) {
-      (*it)->guard.token().abandon();
-      it = entries.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  for (auto& entry : entries) {
-    if (entry->pid == pid && entry->guard.valid()) return entry->guard;
-  }
-  entries.push_back(
-      std::make_unique<CachedIntervalGuardEntry>(CachedIntervalGuardEntry{
-          gen, pid, IntervalGuard(domain.acquireToken(), /*pin_now=*/false)}));
-  return entries.back()->guard;
-}
-
-void dropThreadCachedIntervalGuards(std::size_t pid) {
-  auto& entries = intervalGuardCache().entries;
-  for (auto it = entries.begin(); it != entries.end();) {
-    if ((*it)->pid == pid) {
-      it = entries.erase(it);  // IntervalGuard dtor unregisters the token
-    } else {
-      ++it;
-    }
-  }
-}
-
-}  // namespace detail
 
 // ---------------------------------------------------------------------------
 // IntervalManagerImpl
@@ -130,7 +52,7 @@ void IntervalManagerImpl::deferRetire(Token* token, void* obj,
   const std::uint64_t retire_era = era.load(std::memory_order_seq_cst);
   LimboNode* node = node_pool_.acquire(obj, deleter, birth, retire_era);
   retired_.push(node);
-  notePendingAfterDefer(1);
+  counters_.noteDeferred(1);
   const LatencyModel& lat = Runtime::get().config().latency;
   // recycle-pop + exchange + link, all locale-local processor atomics
   sim::charge(lat.cpu_atomic_ns * 3);
@@ -143,26 +65,6 @@ void IntervalManagerImpl::deferRetire(Token* token, void* obj,
     era.fetch_add(1, std::memory_order_seq_cst);
     sim::charge(lat.nic_atomic_ns);  // modeled FADD on the locale-0 era
   }
-}
-
-ReclaimStats IntervalManagerImpl::statsSnapshot() const {
-  ReclaimStats s;
-  s.deferred = deferred_.load(std::memory_order_relaxed);
-  s.reclaimed = reclaimed_.load(std::memory_order_relaxed);
-  s.advances = advances_.load(std::memory_order_relaxed);
-  s.elections_lost_local =
-      elections_lost_local_.load(std::memory_order_relaxed);
-  // No global election and no unsafe scans under IBR: both stay 0.
-  s.max_pending = max_pending_.load(std::memory_order_relaxed);
-  return s;
-}
-
-void IntervalManagerImpl::resetStatsHere() {
-  deferred_.store(0, std::memory_order_relaxed);
-  reclaimed_.store(0, std::memory_order_relaxed);
-  advances_.store(0, std::memory_order_relaxed);
-  elections_lost_local_.store(0, std::memory_order_relaxed);
-  max_pending_.store(0, std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -181,29 +83,6 @@ struct RetiredRecord {
   std::uint64_t retire;
 };
 
-using ScatterBuckets = std::vector<std::vector<IntervalManagerImpl::ScatterEntry>>;
-
-/// Nested bulk delete: ship each owner's scatter bucket to its locale and
-/// delete there (identical shape and cost model to the EBR scatter path).
-/// The buckets are SCAN-PRIVATE -- there is no global election, so scans
-/// elected on different locales may overlap, and a shared per-instance
-/// bucket would race (concurrent push_back) and double-deliver blocks.
-void bulkDeleteScattered(const ScatterBuckets& buckets) {
-  const std::uint32_t src = Runtime::here();
-  auto* buckets_p = &buckets;  // coforall joins before the frame unwinds
-  coforallLocales([buckets_p, src] {
-    const LatencyModel& lat = Runtime::get().config().latency;
-    const std::uint32_t dest = Runtime::here();
-    const auto& bucket = (*buckets_p)[dest];
-    if (dest != src && !bucket.empty()) {
-      sim::charge(lat.bulkCost(bucket.size() * sizeof(void*) * 2));
-    }
-    for (const IntervalManagerImpl::ScatterEntry& entry : bucket) {
-      entry.deleter(entry.obj);
-    }
-  });
-}
-
 }  // namespace
 
 bool intervalTryReclaim(Privatized<IntervalManagerImpl> handle) {
@@ -215,7 +94,7 @@ bool intervalTryReclaim(Privatized<IntervalManagerImpl> handle) {
   // they are independent and may overlap safely.
   sim::charge(lat.cpu_atomic_ns);
   if (inst.is_scanning_.exchange(1, std::memory_order_seq_cst) != 0) {
-    inst.elections_lost_local_.fetch_add(1, std::memory_order_relaxed);
+    inst.counters_.elections_lost_local.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
 
@@ -225,7 +104,7 @@ bool intervalTryReclaim(Privatized<IntervalManagerImpl> handle) {
   // retire eras past the snapshot.
   intervalEraClock().fetch_add(1, std::memory_order_seq_cst);
   sim::charge(lat.nic_atomic_ns);  // modeled FADD on the locale-0 era
-  inst.advances_.fetch_add(1, std::memory_order_relaxed);
+  inst.counters_.advances.fetch_add(1, std::memory_order_relaxed);
 
   const std::uint32_t num_locales = Runtime::get().numLocales();
 
@@ -278,7 +157,10 @@ bool intervalTryReclaim(Privatized<IntervalManagerImpl> handle) {
 
   // Phase 3: partition each locale's snapshot against the full reservation
   // list -- freed iff no [lo, hi] intersects [birth, retire] -- scatter the
-  // freeable blocks by owner, bulk-delete, and re-defer the survivors.
+  // freeable blocks by owner, bulk-delete, and re-defer the survivors. The
+  // buckets are SCAN-PRIVATE: there is no global election, so scans elected
+  // on different locales may overlap, and a shared per-instance bucket
+  // would race (concurrent push_back) and double-deliver blocks.
   auto* reservations_p = &reservations;
   coforallLocales([handle, popped_p, reservations_p] {
     IntervalManagerImpl& li = handle.local();
@@ -301,11 +183,11 @@ bool intervalTryReclaim(Privatized<IntervalManagerImpl> handle) {
             li.node_pool_.acquire(rec.obj, rec.deleter, rec.birth, rec.retire));
       } else {
         to_delete[rt.localeOfAddress(rec.obj)].push_back(
-            IntervalManagerImpl::ScatterEntry{rec.obj, rec.deleter});
+            ScatterEntry{rec.obj, rec.deleter});
         ++freed;
       }
     }
-    li.reclaimed_.fetch_add(freed, std::memory_order_relaxed);
+    li.counters_.reclaimed.fetch_add(freed, std::memory_order_relaxed);
     bulkDeleteScattered(to_delete);
   });
 
@@ -325,70 +207,28 @@ std::uint64_t intervalAdvance(Privatized<IntervalManagerImpl> handle) {
   return intervalEraClock().load(std::memory_order_seq_cst);
 }
 
-void intervalClearAll(Privatized<IntervalManagerImpl> handle) {
-  // Tasks are quiescent per the clear() contract, but async structure ops
-  // may still have retires in flight through the AM queues; fence them so
-  // every retire has landed in some locale's retired list.
-  comm::taskAggregator().flushAll();
-  comm::quiesceAmQueues();
-  coforallLocales([handle] {
-    IntervalManagerImpl& li = handle.local();
-    Runtime& rt = Runtime::get();
-    ScatterBuckets to_delete(rt.numLocales());
-    LimboNode* node = li.retired_.popAll();
-    std::uint64_t count = 0;
-    while (node != nullptr) {
-      LimboNode* next = LimboList::next(node);
-      to_delete[rt.localeOfAddress(node->obj)].push_back(
-          IntervalManagerImpl::ScatterEntry{node->obj, node->deleter});
-      li.node_pool_.release(node);
-      node = next;
-      ++count;
-    }
-    li.reclaimed_.fetch_add(count, std::memory_order_relaxed);
-    bulkDeleteScattered(to_delete);
-  });
-}
-
 }  // namespace detail
 
 // ---------------------------------------------------------------------------
 // IntervalDomain
 // ---------------------------------------------------------------------------
 
+IntervalDomain IntervalDomain::create() {
+  IntervalDomain d;
+  d.handle_ = Privatized<IntervalManagerImpl>::create(
+      [] { return gnew<IntervalManagerImpl>(); });
+  return d;
+}
+
 void IntervalDomain::destroy() {
   if (!valid()) return;
-  clear();
-  // Drop progress-thread cached guards before the token pools die (same
-  // AM-queue broadcast as EpochManager::destroy).
-  {
-    const std::size_t pid = handle_.id();
-    const std::uint32_t n = Runtime::get().numLocales();
-    std::vector<comm::Handle<>> drops;
-    drops.reserve(n);
-    for (std::uint32_t l = 0; l < n; ++l) {
-      drops.push_back(comm::amProgressHandle(
-          l, [pid] { detail::dropThreadCachedIntervalGuards(pid); }));
-    }
-    comm::waitAll(drops);
-  }
-  handle_.destroy();
+  detail::destroyInstances<Guard>(handle_);
 }
 
 ReclaimStats IntervalDomain::stats() const {
-  ReclaimStats total;
-  Runtime& rt = Runtime::get();
-  for (std::uint32_t l = 0; l < rt.numLocales(); ++l) {
-    total += implOn(l)->statsSnapshot();
-  }
-  return total;
+  return detail::sumStats(handle_);
 }
 
-void IntervalDomain::resetStats() const {
-  Runtime& rt = Runtime::get();
-  for (std::uint32_t l = 0; l < rt.numLocales(); ++l) {
-    implOn(l)->resetStatsHere();
-  }
-}
+void IntervalDomain::resetStats() const { detail::resetStats(handle_); }
 
 }  // namespace pgasnb

@@ -3,7 +3,10 @@
 // A third model of the ReclaimDomain concept, alongside the paper's
 // epoch managers (Wen et al., "Interval-Based Memory Reclamation",
 // PPoPP'18, adapted to the PGAS simulation -- see docs/ARCHITECTURE.md
-// "Choosing a reclamation domain" for the three-way comparison).
+// "Choosing a reclamation domain" for the three-way comparison). It has
+// DistDomain's shape -- a record-wrapped handle over
+// Privatized<IntervalManagerImpl> -- and shares everything outside the
+// protocol below with it (epoch/dist_reclaim.hpp).
 //
 // Protocol
 // --------
@@ -26,8 +29,7 @@
 // * tryReclaim never fails a scan: it advances the era, snapshots every
 //   locale's retired list (one exchange each), gathers all reservations,
 //   partitions each locale's snapshot against them, bulk-deletes the
-//   freeable blocks on their owning locales (the same scatter lists as
-//   the epoch manager), and re-defers the survivors.
+//   freeable blocks on their owning locales, and re-defers the survivors.
 //
 // Simulation note (deviation from a real PGAS): the era clock is a plain
 // process-wide atomic rather than a locale-0 DistAtomicU64. A per-protect
@@ -44,12 +46,11 @@
 #include <utility>
 #include <vector>
 
+#include "epoch/dist_reclaim.hpp"
 #include "epoch/domain.hpp"
 #include "epoch/limbo_list.hpp"
 #include "epoch/reclaim_stats.hpp"
 #include "epoch/token.hpp"
-#include "runtime/collectives.hpp"
-#include "runtime/comm.hpp"
 #include "runtime/privatization.hpp"
 #include "runtime/runtime.hpp"
 
@@ -133,24 +134,13 @@ class IntervalManagerImpl {
   void deferRetire(Token* token, void* obj, ObjectDeleter deleter,
                    std::uint64_t birth);
 
-  /// A freeable block bucketed by owner during a scan. Buckets live in the
-  /// scan's own frame (scans may overlap; see intervalTryReclaim).
-  struct ScatterEntry {
-    void* obj;
-    ObjectDeleter deleter;
-  };
-
-  /// Count `n` fresh retires and raise the max_pending high-water mark.
-  void notePendingAfterDefer(std::uint64_t n) noexcept {
-    const std::uint64_t deferred =
-        deferred_.fetch_add(n, std::memory_order_relaxed) + n;
-    detail::raiseMax(max_pending_,
-                     deferred - reclaimed_.load(std::memory_order_relaxed));
+  /// clear(): pop the whole retired list into `buckets`
+  /// (detail::clearAll).
+  void popAllRetired(detail::ScatterBuckets& buckets) {
+    counters_.reclaimed.fetch_add(
+        detail::scatterChain(retired_.popAll(), node_pool_, buckets),
+        std::memory_order_relaxed);
   }
-
-  ReclaimStats statsSnapshot() const;
-  /// Zero this locale's statistics (counters only; quiescent point).
-  void resetStatsHere();
 
   // Fields are accessed directly by the reclaim driver in
   // interval_manager.cpp and by white-box tests.
@@ -162,12 +152,10 @@ class IntervalManagerImpl {
   std::atomic<std::uint64_t> retires_since_era_{0};
   std::uint32_t era_freq_;
 
-  // statistics (relaxed; summed across locales for reports)
-  std::atomic<std::uint64_t> deferred_{0};
-  std::atomic<std::uint64_t> reclaimed_{0};
-  std::atomic<std::uint64_t> advances_{0};
-  std::atomic<std::uint64_t> elections_lost_local_{0};
-  std::atomic<std::uint64_t> max_pending_{0};
+  // Summed across locales by IntervalDomain::stats(). No global election
+  // and no unsafe scans under IBR: elections_lost_global and scans_unsafe
+  // stay 0.
+  ReclaimCounters counters_;
 };
 
 namespace detail {
@@ -178,9 +166,6 @@ bool intervalTryReclaim(Privatized<IntervalManagerImpl> handle);
 /// Phase-boundary advance: tryReclaim until the era moves (with backoff
 /// on lost elections); returns the new era.
 std::uint64_t intervalAdvance(Privatized<IntervalManagerImpl> handle);
-/// Reclaim everything regardless of reservations; caller guarantees no
-/// concurrent use (drains the AM queues first, like epochClearAll).
-void intervalClearAll(Privatized<IntervalManagerImpl> handle);
 }  // namespace detail
 
 /// RAII token handle for the interval manager; same surface as EpochToken
@@ -296,14 +281,6 @@ class IntervalToken {
 
 using IntervalGuard = BasicGuard<IntervalToken>;
 
-namespace detail {
-/// Progress-thread cached guard for interval domains (see
-/// threadCachedGuard in domain.hpp -- identical contract, separate
-/// registry because the guard type differs).
-IntervalGuard& threadCachedIntervalGuard(const IntervalDomain& domain);
-void dropThreadCachedIntervalGuards(std::size_t pid);
-}  // namespace detail
-
 /// Distributed interval-based reclaim domain: a trivially copyable
 /// record-wrapper handle, used exactly like DistDomain.
 class IntervalDomain {
@@ -321,12 +298,7 @@ class IntervalDomain {
   IntervalDomain() = default;  // invalid handle; use create()
 
   /// Collective: one privatized instance per locale.
-  static IntervalDomain create() {
-    IntervalDomain d;
-    d.handle_ = Privatized<IntervalManagerImpl>::create(
-        [] { return gnew<IntervalManagerImpl>(); });
-    return d;
-  }
+  static IntervalDomain create();
   /// Collective teardown: reclaims everything, destroys all instances.
   void destroy();
 
@@ -337,13 +309,13 @@ class IntervalDomain {
 
   /// The calling thread's cached attached guard (progress threads only;
   /// see DistDomain::threadGuard -- same contract).
-  Guard& threadGuard() const { return detail::threadCachedIntervalGuard(*this); }
+  Guard& threadGuard() const { return detail::threadCachedGuard(*this); }
 
   bool tryReclaim() const { return detail::intervalTryReclaim(handle_); }
   /// Blocking phase-boundary advance; under IBR a won election always
   /// advances, so this only waits out concurrent scanners.
   std::uint64_t advance() const { return detail::intervalAdvance(handle_); }
-  void clear() const { detail::intervalClearAll(handle_); }
+  void clear() const { detail::clearAll(handle_); }
   /// The current era (the interval analogue of the global epoch).
   std::uint64_t currentEpoch() const {
     return intervalEraClock().load(std::memory_order_seq_cst);

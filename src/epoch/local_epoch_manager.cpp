@@ -67,10 +67,7 @@ void LocalEpochManager::deferDelete(Token* token, void* obj,
                    "deferDelete requires a pinned token");
   LimboNode* node = node_pool_.acquire(obj, deleter);
   limbo_[limboIndexFor(e)].push(node);
-  const std::uint64_t deferred =
-      deferred_.fetch_add(1, std::memory_order_relaxed) + 1;
-  detail::raiseMax(max_pending_,
-                   deferred - reclaimed_.load(std::memory_order_relaxed));
+  counters_.noteDeferred(1);
 }
 
 std::uint64_t LocalEpochManager::reclaimList(std::uint32_t index) {
@@ -83,14 +80,14 @@ std::uint64_t LocalEpochManager::reclaimList(std::uint32_t index) {
     node = next;
     ++count;
   }
-  reclaimed_.fetch_add(count, std::memory_order_relaxed);
+  counters_.reclaimed.fetch_add(count, std::memory_order_relaxed);
   return count;
 }
 
 bool LocalEpochManager::tryReclaim() {
   // Single-flag FCFS election (no global epoch to contend for).
   if (is_setting_epoch_.exchange(1, std::memory_order_seq_cst) != 0) {
-    elections_lost_.fetch_add(1, std::memory_order_relaxed);
+    counters_.elections_lost_local.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
 
@@ -109,11 +106,11 @@ bool LocalEpochManager::tryReclaim() {
   if (safe) {
     const std::uint64_t new_epoch = nextEpoch(this_epoch);
     epoch_.store(new_epoch, std::memory_order_seq_cst);
-    advances_.fetch_add(1, std::memory_order_relaxed);
+    counters_.advances.fetch_add(1, std::memory_order_relaxed);
     reclaimList(reclaimIndexFor(new_epoch));
     advanced = true;
   } else {
-    scans_unsafe_.fetch_add(1, std::memory_order_relaxed);
+    counters_.scans_unsafe.fetch_add(1, std::memory_order_relaxed);
   }
 
   is_setting_epoch_.store(0, std::memory_order_seq_cst);
@@ -124,27 +121,6 @@ void LocalEpochManager::clear() {
   for (std::uint32_t index = 0; index < kNumEpochs; ++index) {
     reclaimList(index);
   }
-}
-
-ReclaimStats LocalEpochManager::stats() const {
-  ReclaimStats s;
-  s.deferred = deferred_.load(std::memory_order_relaxed);
-  s.reclaimed = reclaimed_.load(std::memory_order_relaxed);
-  s.advances = advances_.load(std::memory_order_relaxed);
-  // A local domain has only the one locale-local election.
-  s.elections_lost_local = elections_lost_.load(std::memory_order_relaxed);
-  s.scans_unsafe = scans_unsafe_.load(std::memory_order_relaxed);
-  s.max_pending = max_pending_.load(std::memory_order_relaxed);
-  return s;
-}
-
-void LocalEpochManager::resetStats() {
-  deferred_.store(0, std::memory_order_relaxed);
-  reclaimed_.store(0, std::memory_order_relaxed);
-  advances_.store(0, std::memory_order_relaxed);
-  elections_lost_.store(0, std::memory_order_relaxed);
-  scans_unsafe_.store(0, std::memory_order_relaxed);
-  max_pending_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace pgasnb

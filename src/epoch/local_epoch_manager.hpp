@@ -101,12 +101,10 @@ class LocalEpochManager {
     return epoch_.load(std::memory_order_seq_cst);
   }
 
-  ReclaimStats stats() const;
-  /// Zero every statistic (including the max_pending high-water mark).
-  /// Counters only -- limbo lists and tokens are untouched. Call at a
-  /// quiescent point (typically right after clear()); resetting while
-  /// retires are pending would skew pending() deltas.
-  void resetStats();
+  /// The counters behind LocalDomain::stats()/resetStats(). A reset
+  /// touches counters only -- limbo lists and tokens are untouched.
+  ReclaimCounters& counters() noexcept { return counters_; }
+  const ReclaimCounters& counters() const noexcept { return counters_; }
 
  private:
   friend class LocalEpochToken;
@@ -130,12 +128,9 @@ class LocalEpochManager {
   LimboNodePool<HeapLimboNodeAlloc> node_pool_;
   TokenPool<HeapTokenAlloc> tokens_;
 
-  std::atomic<std::uint64_t> deferred_{0};
-  std::atomic<std::uint64_t> reclaimed_{0};
-  std::atomic<std::uint64_t> advances_{0};
-  std::atomic<std::uint64_t> elections_lost_{0};
-  std::atomic<std::uint64_t> scans_unsafe_{0};
-  std::atomic<std::uint64_t> max_pending_{0};
+  // A local domain has only the one locale-local election, so
+  // elections_lost_global stays 0.
+  ReclaimCounters counters_;
 };
 
 }  // namespace pgasnb

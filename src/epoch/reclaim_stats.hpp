@@ -1,7 +1,7 @@
 // ReclaimStats: the one statistics record shared by every reclamation
 // domain (paper Sec. II.C exposes the same counters for both the
-// distributed EpochManager and the shared-memory LocalEpochManager; the
-// seed duplicated the struct per manager).
+// distributed EpochManager and the shared-memory LocalEpochManager), and
+// ReclaimCounters, the live atomics every manager instance keeps behind it.
 //
 // Counter semantics:
 //   deferred   objects handed to retire()/deferDelete (not yet freed)
@@ -21,22 +21,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <initializer_list>
 
 namespace pgasnb {
-
-namespace detail {
-
-/// Lock-free fetch-max: raise `peak` to at least `value` (relaxed -- peaks
-/// feed diagnostics and quiescent-exact assertions, not synchronization).
-inline void raiseMax(std::atomic<std::uint64_t>& peak,
-                     std::uint64_t value) noexcept {
-  std::uint64_t cur = peak.load(std::memory_order_relaxed);
-  while (cur < value &&
-         !peak.compare_exchange_weak(cur, value, std::memory_order_relaxed)) {
-  }
-}
-
-}  // namespace detail
 
 struct ReclaimStats {
   std::uint64_t deferred = 0;
@@ -67,8 +54,53 @@ struct ReclaimStats {
   }
 };
 
-/// Deprecated spellings kept for the migration window (docs/API.md).
-using EpochManagerStats = ReclaimStats;
-using LocalEpochManagerStats = ReclaimStats;
+/// The live counters behind ReclaimStats: one set per manager instance
+/// (per locale for the distributed domains, which sum the snapshots).
+/// Relaxed throughout -- they feed diagnostics and quiescent-exact
+/// assertions, not synchronization.
+struct ReclaimCounters {
+  std::atomic<std::uint64_t> deferred{0};
+  std::atomic<std::uint64_t> reclaimed{0};
+  std::atomic<std::uint64_t> advances{0};
+  std::atomic<std::uint64_t> elections_lost_local{0};
+  std::atomic<std::uint64_t> elections_lost_global{0};
+  std::atomic<std::uint64_t> scans_unsafe{0};
+  std::atomic<std::uint64_t> max_pending{0};
+
+  /// Count `n` fresh deferrals and raise the max_pending high-water mark.
+  void noteDeferred(std::uint64_t n) noexcept {
+    const std::uint64_t pending =
+        deferred.fetch_add(n, std::memory_order_relaxed) + n -
+        reclaimed.load(std::memory_order_relaxed);
+    std::uint64_t peak = max_pending.load(std::memory_order_relaxed);
+    while (peak < pending && !max_pending.compare_exchange_weak(
+                                 peak, pending, std::memory_order_relaxed)) {
+    }
+  }
+
+  ReclaimStats snapshot() const noexcept {
+    ReclaimStats s;
+    s.deferred = deferred.load(std::memory_order_relaxed);
+    s.reclaimed = reclaimed.load(std::memory_order_relaxed);
+    s.advances = advances.load(std::memory_order_relaxed);
+    s.elections_lost_local =
+        elections_lost_local.load(std::memory_order_relaxed);
+    s.elections_lost_global =
+        elections_lost_global.load(std::memory_order_relaxed);
+    s.scans_unsafe = scans_unsafe.load(std::memory_order_relaxed);
+    s.max_pending = max_pending.load(std::memory_order_relaxed);
+    return s;
+  }
+
+  /// Zero every counter, the max_pending high-water mark included. Call
+  /// at a quiescent point (typically right after clear()); resetting while
+  /// retires are pending would skew pending() deltas.
+  void reset() noexcept {
+    for (auto* c : {&deferred, &reclaimed, &advances, &elections_lost_local,
+                    &elections_lost_global, &scans_unsafe, &max_pending}) {
+      c->store(0, std::memory_order_relaxed);
+    }
+  }
+};
 
 }  // namespace pgasnb

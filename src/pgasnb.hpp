@@ -69,6 +69,7 @@
 #include "epoch/limbo_list.hpp"
 #include "epoch/token.hpp"
 #include "epoch/reclaim_stats.hpp"
+#include "epoch/dist_reclaim.hpp"
 #include "epoch/epoch_manager.hpp"
 #include "epoch/local_epoch_manager.hpp"
 #include "epoch/domain.hpp"

@@ -95,13 +95,6 @@ RuntimeConfig RuntimeConfig::fromEnv() {
     cfg.interval_era_freq =
         static_cast<std::uint32_t>(std::strtoul(v, nullptr, 0));
   }
-  if (const char* v = envOrNull("PGASNB_RH_RESIZE_LOAD")) {
-    cfg.rh_resize_load = std::strtod(v, nullptr);
-  }
-  if (const char* v = envOrNull("PGASNB_RH_MIGRATE_CHUNK")) {
-    cfg.rh_migrate_chunk =
-        static_cast<std::uint32_t>(std::strtoul(v, nullptr, 0));
-  }
   return cfg;
 }
 
@@ -110,8 +103,6 @@ std::string RuntimeConfig::describe() const {
   os << "locales=" << num_locales << " workers/locale=" << workers_per_locale
      << " comm=" << toString(comm_mode)
      << " retire=" << toString(remote_retire)
-     << " rh_resize_load=" << rh_resize_load
-     << " rh_migrate_chunk=" << rh_migrate_chunk
      << " inject=" << (inject_delays ? "yes" : "no")
      << " delay_scale=" << latency.delay_scale;
   return os.str();

@@ -85,16 +85,6 @@ struct RuntimeConfig {
   /// batch-full/unpin. 0 disables age-based flushing.
   std::uint64_t aggregator_max_batch_age_ns = 100'000;
 
-  /// RobinHoodMap: per-segment load factor that starts an incremental
-  /// doubling (shadow table + chunked migration). <= 0 disables resize, so
-  /// a full segment rejects inserts (stats().full_rejects). create() with
-  /// explicit RobinHoodOptions overrides this.
-  double rh_resize_load = 0.85;
-
-  /// RobinHoodMap: entries migrated per bounded chunk (per mutation / pump
-  /// step; chunks round up to the enclosing probe run). 0 is treated as 1.
-  std::uint32_t rh_migrate_chunk = 64;
-
   LatencyModel latency{};
 
   /// When true, communication costs are also *physically* injected as
@@ -108,8 +98,7 @@ struct RuntimeConfig {
   /// Reads PGASNB_NUM_LOCALES, PGASNB_COMM_MODE, PGASNB_WORKERS,
   /// PGASNB_INJECT_DELAYS, PGASNB_DELAY_SCALE, PGASNB_REMOTE_RETIRE,
   /// PGASNB_INTERVAL_ERA_FREQ, PGASNB_RETIRE_BATCH, PGASNB_AGG_OPS_PER_BATCH,
-  /// PGASNB_AGG_MAX_BATCH_AGE, PGASNB_RH_RESIZE_LOAD, PGASNB_RH_MIGRATE_CHUNK
-  /// on top of the defaults.
+  /// PGASNB_AGG_MAX_BATCH_AGE on top of the defaults.
   static RuntimeConfig fromEnv();
 
   std::string describe() const;

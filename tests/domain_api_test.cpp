@@ -1,7 +1,8 @@
 // The unified Domain/Guard reclamation API: one test template instantiated
 // for all three models of the ReclaimDomain concept (LocalDomain,
-// DistDomain, IntervalDomain), plus per-domain coverage of cross-locale
-// retire scattering.
+// DistDomain, IntervalDomain), plus one for the two distributed domains:
+// cross-locale retire scattering, overlapping reclaim scans, and the
+// progress-thread guard cache.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -301,14 +302,60 @@ TYPED_TEST(DomainApiTest, DomainGenericStructureUsesDomainHooks) {
   EXPECT_EQ(domain.stats().reclaimed, 10u);
 }
 
-// --- DistDomain-only: cross-locale retire scattering ------------------------
+// --- The distributed domains: one typed suite over DistDomain and
+// IntervalDomain (cross-locale scatter, overlapping scans, guard cache) ----
 
-class DistDomainScatterTest : public testing::RuntimeTest {};
+/// Counts frees, and frees that ran on a locale other than the block's
+/// owner.
+struct OwnedTracked {
+  static std::atomic<int> live;
+  static std::atomic<int> freed_off_owner;
+  OwnedTracked() { live.fetch_add(1); }
+  ~OwnedTracked() {
+    live.fetch_sub(1);
+    if (Runtime::get().localeOfAddress(this) != Runtime::here()) {
+      freed_off_owner.fetch_add(1);
+    }
+  }
+};
+std::atomic<int> OwnedTracked::live{0};
+std::atomic<int> OwnedTracked::freed_off_owner{0};
 
-TEST_F(DistDomainScatterTest, RemoteRetiresAreShippedHome) {
-  startRuntime(4);
-  DistDomain domain = DistDomain::create();
-  Runtime& rt = *runtime_;
+template <typename D>
+class DistributedDomainTest : public testing::RuntimeTest {
+ protected:
+  void SetUp() override {
+    OwnedTracked::live.store(0);
+    OwnedTracked::freed_off_owner.store(0);
+  }
+
+  /// Run one AM handler on every locale's progress thread, each pinning
+  /// `domain`'s cached guard, and return each locale's cached-guard address.
+  static std::vector<const void*> pinCachedGuardEverywhere(const D& domain) {
+    const std::uint32_t nloc = Runtime::get().numLocales();
+    std::vector<const void*> seen(nloc, nullptr);
+    for (std::uint32_t l = 0; l < nloc; ++l) {
+      comm::amProgressHandle(l, [domain, &seen] {
+        PinScope<typename D::Guard> pin(domain.threadGuard());
+        EXPECT_TRUE(pin.guard().pinned());
+        seen[Runtime::here()] = &pin.guard();
+      }).wait();
+    }
+    return seen;
+  }
+
+  static std::uint64_t tokensOn(const D& domain, std::uint32_t locale) {
+    return domain.implOn(locale)->tokens_.allocatedCount();
+  }
+};
+
+using DistributedDomainTypes = ::testing::Types<DistDomain, IntervalDomain>;
+TYPED_TEST_SUITE(DistributedDomainTest, DistributedDomainTypes);
+
+TYPED_TEST(DistributedDomainTest, RemoteRetiresAreShippedHome) {
+  this->startRuntime(4);
+  auto domain = TypeParam::create();
+  Runtime& rt = *this->runtime_;
   const std::uint32_t nloc = rt.numLocales();
   std::vector<std::uint64_t> live_before(nloc);
   for (std::uint32_t l = 0; l < nloc; ++l) {
@@ -323,11 +370,18 @@ TEST_F(DistDomainScatterTest, RemoteRetiresAreShippedHome) {
       // sort it into the scatter bucket and free it on its owner.
       const std::uint32_t target =
           (Runtime::here() + 1 + static_cast<std::uint32_t>(i) % nloc) % nloc;
-      guard.retire(gnewOn<Tracked>(target));
+      guard.retire(TypeParam::template makeOn<OwnedTracked>(target));
     }
   });
-
-  domain.clear();
+  // Let aggregated retires land at their owners, then reclaim through the
+  // scan path (not clear()): no guard is live, so kGraceAdvances scans
+  // free everything.
+  comm::quiesceAmQueues();
+  for (std::uint64_t i = 0; i < TypeParam::kGraceAdvances; ++i) {
+    EXPECT_TRUE(domain.tryReclaim());
+  }
+  EXPECT_EQ(OwnedTracked::live.load(), 0);
+  EXPECT_EQ(OwnedTracked::freed_off_owner.load(), 0);
   const auto s = domain.stats();
   EXPECT_EQ(s.deferred, static_cast<std::uint64_t>(kPerLocale) * nloc);
   EXPECT_EQ(s.reclaimed, s.deferred);
@@ -338,51 +392,47 @@ TEST_F(DistDomainScatterTest, RemoteRetiresAreShippedHome) {
   domain.destroy();
 }
 
-// --- IntervalDomain: cross-locale retire scattering under IBR ---------------
-
-class IntervalDomainScatterTest : public testing::RuntimeTest {};
-
-TEST_F(IntervalDomainScatterTest, RemoteRetiresAreShippedHome) {
-  Tracked::live.store(0);
-  startRuntime(4);
-  IntervalDomain domain = IntervalDomain::create();
-  Runtime& rt = *runtime_;
-  const std::uint32_t nloc = rt.numLocales();
-  std::vector<std::uint64_t> live_before(nloc);
-  for (std::uint32_t l = 0; l < nloc; ++l) {
-    live_before[l] = rt.locale(l).arena().liveBlocks();
-  }
-
-  constexpr int kPerLocale = 48;
+TYPED_TEST(DistributedDomainTest, ConcurrentRemoteChurnFreesEachBlockOnce) {
+  // Every locale retires blocks owned by the other locales and calls
+  // tryReclaim at the same time. Under IBR the per-locale scans overlap
+  // (there is no global election), which is why its scatter buckets are
+  // scan-private; under EBR losers of the election back out.
+  this->startRuntime(4);
+  auto domain = TypeParam::create();
+  const std::uint32_t nloc = Runtime::get().numLocales();
+  constexpr int kRounds = 100;
+  constexpr int kPerRound = 8;
   coforallLocales([domain, nloc] {
-    auto guard = domain.pin();
-    for (int i = 0; i < kPerLocale; ++i) {
-      // Allocate the birth-tagged block on a *different* locale and retire
-      // it here: the scan must sort it into the scatter bucket and free it
-      // (payload dtor + arena return) on its owner.
-      const std::uint32_t target =
-          (Runtime::here() + 1 + static_cast<std::uint32_t>(i) % nloc) % nloc;
-      guard.retire(IntervalDomain::makeOn<Tracked>(target));
-    }
+    coforallHere(2, [domain, nloc](std::uint32_t) {
+      auto guard = domain.attach();
+      for (int r = 0; r < kRounds; ++r) {
+        guard.pin();
+        for (int i = 0; i < kPerRound; ++i) {
+          // Offsets 1..nloc-1: never the retiring locale itself.
+          const std::uint32_t offset =
+              1 + static_cast<std::uint32_t>(i) % (nloc - 1);
+          const std::uint32_t target = (Runtime::here() + offset) % nloc;
+          guard.retire(TypeParam::template makeOn<OwnedTracked>(target));
+        }
+        guard.unpin();
+        guard.tryReclaim();
+      }
+    });
   });
-
-  // No guard is live: one scan frees everything (kGraceAdvances == 1),
-  // exercising the reservation-scan + scatter path rather than clear().
-  EXPECT_TRUE(domain.tryReclaim());
-  EXPECT_EQ(Tracked::live.load(), 0);
+  domain.clear();
+  EXPECT_EQ(OwnedTracked::live.load(), 0)
+      << "a block leaked or was freed twice";
+  EXPECT_EQ(OwnedTracked::freed_off_owner.load(), 0);
   const auto s = domain.stats();
-  EXPECT_EQ(s.deferred, static_cast<std::uint64_t>(kPerLocale) * nloc);
+  EXPECT_EQ(s.deferred,
+            static_cast<std::uint64_t>(nloc) * 2 * kRounds * kPerRound);
   EXPECT_EQ(s.reclaimed, s.deferred);
-  for (std::uint32_t l = 0; l < nloc; ++l) {
-    EXPECT_LE(rt.locale(l).arena().liveBlocks(), live_before[l] + 64)
-        << "retired blocks must be freed on owning locale " << l;
-  }
   domain.destroy();
 }
 
-TEST_F(DistDomainScatterTest, HandleIsValueCapturableAcrossLocales) {
-  startRuntime(3);
-  DistDomain domain = DistDomain::create();
+TYPED_TEST(DistributedDomainTest, HandleIsValueCapturableAcrossLocales) {
+  this->startRuntime(3);
+  auto domain = TypeParam::create();
   std::atomic<std::uint64_t> pins{0};
   coforallLocales([domain, &pins] {
     for (int i = 0; i < 50; ++i) {
@@ -392,6 +442,61 @@ TEST_F(DistDomainScatterTest, HandleIsValueCapturableAcrossLocales) {
   });
   EXPECT_EQ(pins.load(), 150u);
   domain.destroy();
+}
+
+TYPED_TEST(DistributedDomainTest, ThreadGuardRegistersOneTokenPerThread) {
+  this->startRuntime(3);
+  auto domain = TypeParam::create();
+  const std::uint32_t nloc = Runtime::get().numLocales();
+  std::vector<std::uint64_t> before(nloc);
+  for (std::uint32_t l = 0; l < nloc; ++l) {
+    before[l] = this->tokensOn(domain, l);
+  }
+
+  const auto first = this->pinCachedGuardEverywhere(domain);
+  for (int round = 0; round < 20; ++round) {
+    EXPECT_EQ(this->pinCachedGuardEverywhere(domain), first)
+        << "every handler must reuse the thread's cached guard";
+  }
+  for (std::uint32_t l = 0; l < nloc; ++l) {
+    EXPECT_EQ(this->tokensOn(domain, l), before[l] + 1)
+        << "one registration per (progress thread, domain) on locale " << l;
+  }
+  // Between handlers the cached guards are attached but quiescent.
+  EXPECT_TRUE(domain.tryReclaim());
+  domain.destroy();
+}
+
+TYPED_TEST(DistributedDomainTest, ThreadGuardFromTaskThreadDies) {
+  this->startRuntime(1);
+  auto domain = TypeParam::create();
+  EXPECT_DEATH(domain.threadGuard(), "progress-thread state");
+  domain.destroy();
+}
+
+TYPED_TEST(DistributedDomainTest, TwoDomainsCachedGuardsTearDownInAnyOrder) {
+  for (const bool reverse : {false, true}) {
+    this->startRuntime(3);
+    auto a = TypeParam::create();
+    auto b = TypeParam::create();
+    const std::uint32_t nloc = Runtime::get().numLocales();
+    const auto a_guards = this->pinCachedGuardEverywhere(a);
+    const auto b_guards = this->pinCachedGuardEverywhere(b);
+    for (std::uint32_t l = 0; l < nloc; ++l) {
+      EXPECT_NE(a_guards[l], b_guards[l]) << "one cache entry per domain";
+    }
+    auto& first = reverse ? b : a;
+    auto& second = reverse ? a : b;
+    const auto second_guards = reverse ? a_guards : b_guards;
+    first.destroy();
+    // The survivor's entries outlive the other domain's drop untouched.
+    EXPECT_EQ(this->pinCachedGuardEverywhere(second), second_guards);
+    for (std::uint32_t l = 0; l < nloc; ++l) {
+      EXPECT_EQ(this->tokensOn(second, l), 1u);
+    }
+    second.destroy();
+    this->runtime_.reset();
+  }
 }
 
 }  // namespace
