@@ -3,7 +3,7 @@
 #
 #   scripts/check_docs.sh          # check README.md + docs/*.md
 #
-# Two checks, both hard failures:
+# Three checks, all hard failures:
 #   1. Every fenced ```cpp block is extracted into a generated TU (one per
 #      markdown file; each block becomes the body of its own function,
 #      #include lines hoisted to the top) and compiled with
@@ -12,6 +12,10 @@
 #      no top-level definitions.
 #   2. Every intra-repo markdown link target (relative [text](path) links,
 #      #anchors stripped) must exist on disk.
+#   3. Every backticked `comm::<name>` in prose and tables must be declared
+#      by src/runtime/comm.hpp. The compiler decides: each name becomes a
+#      using-declaration in a generated TU that includes only that header,
+#      so a name surviving only in a comment there still fails.
 #
 # CI runs this on every push/PR (the `docs` job); run it locally before
 # touching docs/.
@@ -87,7 +91,36 @@ for md in "${DOCS[@]}"; do
   done < <(strip_fenced_blocks "$md" | grep -oE '\]\([^)]+\)' | sed -E 's/^\]\(//; s/\)$//')
 done
 
+# --- 3. comm:: names in prose ----------------------------------------------
+
+# Sub-namespaces (comm::detail) cannot be named by a using-declaration;
+# accept the ones the header opens in code (comment lines start with //).
+comm_namespaces=$(grep -oE '^[[:space:]]*namespace [A-Za-z_][A-Za-z0-9_]*' \
+  src/runtime/comm.hpp | awk '{ print $2 }' | sort -u)
+names=$(for md in "${DOCS[@]}"; do strip_fenced_blocks "$md"; done \
+  | grep -oE '`[^`]*`' | grep -oE 'comm::[A-Za-z_][A-Za-z0-9_]*' \
+  | sed 's/^comm:://' | sort -u | grep -vxF -e "$comm_namespaces" || true)
+names_tu="$OUT_DIR/comm_names.cpp"
+{
+  echo "// generated by scripts/check_docs.sh -- do not edit"
+  echo "#include \"runtime/comm.hpp\""
+  echo "namespace check_docs_comm_names {"
+  for name in $names; do echo "using pgasnb::comm::$name;"; done
+  echo "}"
+} > "$names_tu"
+echo "check_docs: checking comm:: names against src/runtime/comm.hpp"
+if ! "$CXX" -std=c++20 -fsyntax-only -Isrc "$names_tu" > "$OUT_DIR/comm_names.log" 2>&1; then
+  missing=$(grep -oE "'[A-Za-z_][A-Za-z0-9_]*' has not been declared in 'pgasnb::comm'" \
+    "$OUT_DIR/comm_names.log" | cut -d"'" -f2 | sort -u || true)
+  [[ -z "$missing" ]] && cat "$OUT_DIR/comm_names.log" >&2
+  for name in $missing; do
+    where=$(grep -lE "comm::${name}([^A-Za-z0-9_]|\$)" "${DOCS[@]}" | tr '\n' ' ')
+    echo "check_docs: STALE NAME comm::$name in ${where}-- not declared in src/runtime/comm.hpp" >&2
+  done
+  status=1
+fi
+
 if [[ "$status" -eq 0 ]]; then
-  echo "check_docs: OK (snippets compile, links resolve)"
+  echo "check_docs: OK (snippets compile, links resolve, comm:: names declared)"
 fi
 exit "$status"

@@ -165,17 +165,11 @@ class DistStack {
     if constexpr (Domain::kDistributed) {
       const std::uint32_t home = Runtime::get().localeOfAddress(this);
       if (home != Runtime::here()) {
-        auto state =
-            std::make_shared<comm::detail::HandleState<std::optional<T>>>();
-        auto* raw = state.get();
-        comm::taskAggregator().enqueueWithCore(
-            home,
-            [this, raw] {
+        return comm::taskAggregator().enqueueValue<std::optional<T>>(
+            home, [this] {
               PinScope<Guard> pin(domain().threadGuard());
-              raw->value = pop(pin.guard());
-            },
-            state);
-        return comm::Handle<std::optional<T>>(std::move(state));
+              return pop(pin.guard());
+            });
       }
     }
     return comm::readyValueHandle(pop(guard));

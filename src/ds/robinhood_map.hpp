@@ -450,6 +450,7 @@ class RobinHoodMap {
       auto map = *this;
       for (std::uint32_t loc = 0; loc < num_locales_; ++loc) {
         if (groups[loc].empty()) continue;
+        const auto weight = static_cast<std::uint64_t>(groups[loc].size());
         auto probe_group = [map, keys, out,
                             idxs = std::move(groups[loc])] {
           Segment& seg = map.segments_.local();
@@ -467,7 +468,6 @@ class RobinHoodMap {
           probe_group();
           continue;
         }
-        const auto weight = static_cast<std::uint64_t>(keys.size());
         handles.push_back(comm::taskAggregator().enqueueHandle(
             loc, std::move(probe_group), weight));
       }
@@ -686,26 +686,30 @@ class RobinHoodMap {
     Segment& seg_;
   };
 
-  /// Probe one table for `key` (reader path: no lock; the caller holds the
-  /// seqlock sample and a guard). Returns true on a hit.
-  static bool probeTable(const Table& t, std::uint64_t key,
-                         std::uint64_t& probes,
-                         std::optional<std::uint64_t>& out) {
+  /// A probe hit: the key's slot and the value bits read by the same
+  /// 16-byte load that matched the key.
+  struct ProbeHit {
+    std::uint64_t pos;
+    std::uint64_t vbits;
+  };
+
+  /// Probe one table for `key`. Readers call it without the lock (holding
+  /// the seqlock sample and a guard, so the value must come from the load
+  /// that matched); writers call it under the lock to locate a slot.
+  static std::optional<ProbeHit> probeTable(const Table& t, std::uint64_t key,
+                                            std::uint64_t& probes) {
     const std::uint64_t S = t.nslots;
     std::uint64_t pos = homeIn(t, key);
     for (std::uint64_t d = 0; d < S; ++d) {
       const U128 cur = dloadLocal(t.slots[pos]);
       ++probes;
-      if (cur.lo == key) {
-        out = cur.hi;
-        return true;
-      }
+      if (cur.lo == key) return ProbeHit{pos, cur.hi};
       if (cur.lo == kEmptyKey || dispIn(t, cur.lo, pos) < d) {
-        return false;  // Robin Hood early termination: definitive miss
+        return std::nullopt;  // Robin Hood early termination: definitive miss
       }
       pos = pos + 1 == S ? 0 : pos + 1;
     }
-    return false;  // wrapped a full table: miss is definitive
+    return std::nullopt;  // wrapped a full table: miss is definitive
   }
 
   /// seqlock-validated wait-free probe; never takes the writer lock.
@@ -717,7 +721,7 @@ class RobinHoodMap {
                                        GuardT& guard) const {
     PGASNB_CHECK_MSG(key != kEmptyKey, "RobinHoodMap: reserved key");
     std::uint64_t probes = 0;
-    std::optional<std::uint64_t> out;
+    std::optional<ProbeHit> hit;
     Backoff backoff;
     for (;;) {
       const std::uint64_t v1 = seg.version.load(std::memory_order_acquire);
@@ -729,32 +733,14 @@ class RobinHoodMap {
           [&seg] { return seg.cur.load(std::memory_order_acquire); });
       const Table* tnew = guard.protect(
           [&seg] { return seg.shadow.load(std::memory_order_acquire); });
-      out.reset();
-      if (!probeTable(*told, key, probes, out) && tnew != nullptr) {
-        probeTable(*tnew, key, probes, out);
-      }
+      hit = probeTable(*told, key, probes);
+      if (!hit && tnew != nullptr) hit = probeTable(*tnew, key, probes);
       if (seg.version.load(std::memory_order_acquire) == v1) break;
       backoff.pause();  // slots moved underneath the probe; retry
     }
     chargeProbes(probes);
-    return out;
-  }
-
-  /// Locate `key` in `t` (writer-lock held: no seqlock handling needed).
-  std::optional<std::uint64_t> tableLocate(const Table& t, std::uint64_t key,
-                                           std::uint64_t& probes) const {
-    const std::uint64_t S = t.nslots;
-    std::uint64_t pos = homeIn(t, key);
-    for (std::uint64_t d = 0; d < S; ++d) {
-      const U128 cur = dloadLocal(t.slots[pos]);
-      ++probes;
-      if (cur.lo == key) return pos;
-      if (cur.lo == kEmptyKey || dispIn(t, cur.lo, pos) < d) {
-        return std::nullopt;
-      }
-      pos = pos + 1 == S ? 0 : pos + 1;
-    }
-    return std::nullopt;
+    if (!hit) return std::nullopt;
+    return hit->vbits;
   }
 
   /// Insert or upsert into one table (writer-lock held). Single-slot
@@ -834,11 +820,11 @@ class RobinHoodMap {
   std::optional<std::uint64_t> tableEraseLocked(Segment& seg, Table& t,
                                                 std::uint64_t key,
                                                 std::uint64_t& probes) const {
-    const auto found = tableLocate(t, key, probes);
+    const auto found = probeTable(t, key, probes);
     if (!found) return std::nullopt;
     const std::uint64_t S = t.nslots;
-    std::uint64_t pos = *found;
-    const std::uint64_t vbits = dloadLocal(t.slots[pos]).hi;
+    std::uint64_t pos = found->pos;
+    const std::uint64_t vbits = found->vbits;
     seg.version.fetch_add(1, std::memory_order_acq_rel);  // odd
     for (;;) {
       const std::uint64_t nxt = pos + 1 == S ? 0 : pos + 1;
@@ -906,9 +892,9 @@ class RobinHoodMap {
       } else {
         // Mid-migration: the key lives in at most one of the two tables.
         // Updates hit it where it sits; fresh inserts go to the shadow.
-        if (const auto pos = tableLocate(told, key, probes)) {
+        if (const auto hit = probeTable(told, key, probes)) {
           if (assign) {
-            dstoreLocal(told.slots[*pos], U128{key, vbits});
+            dstoreLocal(told.slots[hit->pos], U128{key, vbits});
             outcome = PutOutcome::updated;
           } else {
             outcome = PutOutcome::present;
@@ -1220,16 +1206,11 @@ class RobinHoodMap {
     if constexpr (Domain::kDistributed) {
       const std::uint32_t owner = ownerOf(key);
       if (owner != Runtime::here()) {
-        auto state = std::make_shared<comm::detail::HandleState<R>>();
-        auto* raw = state.get();
         auto map = *this;
-        comm::taskAggregator().enqueueWithCore(
-            owner,
-            [map, raw, op = std::move(op)] {
-              raw->value = op(map, map.segments_.local());
-            },
-            state);
-        return comm::Handle<R>(std::move(state));
+        return comm::taskAggregator().enqueueValue<R>(
+            owner, [map, op = std::move(op)] {
+              return op(map, map.segments_.local());
+            });
       }
       return comm::readyValueHandle(op(*this, segments_.local()));
     } else {

@@ -125,9 +125,9 @@ void EpochToken::deferDeleteRaw(void* obj, ObjectDeleter deleter) {
   }
   PGASNB_CHECK_MSG(pinned(), "deferDelete requires a pinned token");
   if (policy == RemoteRetirePolicy::per_op_am) {
-    // Naive async path: one active message per retire.
+    // Naive async path: one active message per retire; nobody joins it.
     auto handle = handle_;
-    comm::amAsync(owner, [handle, obj, deleter] {
+    (void)comm::amAsyncHandle(owner, [handle, obj, deleter] {
       handle.local().insertRemoteRetire(obj, deleter);
     });
     return;

@@ -88,21 +88,11 @@ inline U128 dexchangeHardware(U128* target, U128 desired) {
   return out;
 }
 
-/// A handle state completed at `join_time` (value, if any, already set).
-template <typename T>
-Handle<T> completedHandle(std::shared_ptr<detail::HandleState<T>> state,
-                          std::uint64_t join_time) {
-  detail::completeCore(*state, join_time);
-  return Handle<T>(std::move(state));
-}
-
-/// injectHandleAm + a typed Handle wrapper, for the comm-internal callers.
-template <typename T>
-Handle<T> injectAmHandle(std::uint32_t loc,
-                         std::shared_ptr<detail::HandleState<T>> state,
-                         std::function<void()> fn) {
+/// injectHandleAm on a fresh void handle, for the comm-internal callers.
+Handle<> injectAmHandle(std::uint32_t loc, std::function<void()> fn) {
+  auto state = std::make_shared<detail::HandleState<void>>();
   detail::injectHandleAm(loc, state, std::move(fn));
-  return Handle<T>(std::move(state));
+  return Handle<>(std::move(state));
 }
 
 /// Innermost open window on this thread (LIFO nesting chain via parent_).
@@ -145,7 +135,7 @@ void injectHandleAm(std::uint32_t loc, std::shared_ptr<HandleCore> core,
   req.fn = std::move(fn);
   req.send_time = sim::now();
   // The callback owns the state: it stays alive until the progress thread
-  // has stored the completion time and run every chained continuation.
+  // has stored the completion time and run every completion waiter.
   req.on_complete = [core](std::uint64_t end) { completeCore(*core, end); };
   rt.locale(loc).amQueue().push(std::move(req));
   // Sender-side injection cost of a one-way message.
@@ -162,12 +152,7 @@ void flushIfBuffered(HandleCore& core) {
   // that task's own join/flush ships it.
   if (agg != nullptr && agg == &taskAggregator()) {
     agg->flush(core.buffered_loc);
-    return;
   }
-  // Combinator-derived cores (then()-chains) are never buffered themselves;
-  // their completion hangs off the parent chain. Walk it so waiting on a
-  // derived handle ships the root op's batch too.
-  if (core.flush_parent != nullptr) flushIfBuffered(*core.flush_parent);
 }
 
 void flushTaskAggregatorForDrain() { taskAggregator().flushAll(); }
@@ -240,11 +225,8 @@ void OpWindow::join() {
   for (const auto& core : cores_) {
     if (core->done.load(std::memory_order_acquire) == 0) {
       if (!live) continue;  // op died with its runtime: nothing to wait for
-      // Auto-enrolled ops were shipped by the flushAll above; an add()-ed
-      // handle may hang off a then()-chain whose root still sits in this
-      // task's aggregator -- walk and ship it, then spin for service,
-      // identical semantics to wait() on that handle.
-      detail::flushIfBuffered(*core);
+      // Every op this task buffered was shipped by the flushAll above:
+      // just spin for service.
       spinUntil([&core] {
         return core->done.load(std::memory_order_acquire) != 0;
       });
@@ -259,8 +241,9 @@ void OpWindow::join() {
 }
 
 Handle<> readyHandle() {
-  return completedHandle(std::make_shared<detail::HandleState<void>>(),
-                         sim::now());
+  auto state = std::make_shared<detail::HandleState<void>>();
+  detail::completeCore(*state, sim::now());
+  return Handle<>(std::move(state));
 }
 
 void amSync(std::uint32_t loc, const std::function<void()>& fn) {
@@ -272,9 +255,7 @@ void amSync(std::uint32_t loc, const std::function<void()>& fn) {
     return;
   }
   bump(g_counters.am_sync);
-  Handle<> handle = injectAmHandle(
-      loc, std::make_shared<detail::HandleState<void>>(), fn);
-  handle.wait();
+  injectAmHandle(loc, fn).wait();
 }
 
 void quiesceAmQueues() {
@@ -286,8 +267,7 @@ void quiesceAmQueues() {
     // Deliberately no local fast path: the fence must traverse the queue
     // (the caller's own queue can hold batches injected by other locales).
     bump(g_counters.am_fence);
-    fences.push_back(injectAmHandle(
-        l, std::make_shared<detail::HandleState<void>>(), [] {}));
+    fences.push_back(injectAmHandle(l, [] {}));
   }
   for (Handle<>& fence : fences) fence.wait();
 }
@@ -300,29 +280,12 @@ Handle<> amAsyncHandle(std::uint32_t loc, std::function<void()> fn) {
     return readyHandle();
   }
   bump(g_counters.am_async);
-  return injectAmHandle(loc, std::make_shared<detail::HandleState<void>>(),
-                        std::move(fn));
+  return injectAmHandle(loc, std::move(fn));
 }
 
 Handle<> amProgressHandle(std::uint32_t loc, std::function<void()> fn) {
   bump(g_counters.am_async);
-  return injectAmHandle(loc, std::make_shared<detail::HandleState<void>>(),
-                        std::move(fn));
-}
-
-void amAsync(std::uint32_t loc, std::function<void()> fn) {
-  Runtime& rt = Runtime::get();
-  if (loc == Runtime::here()) {
-    fn();
-    return;
-  }
-  bump(g_counters.am_async);
-  AmRequest req;
-  req.fn = std::move(fn);
-  req.send_time = sim::now();
-  rt.locale(loc).amQueue().push(std::move(req));
-  // Sender-side injection cost of a one-way message.
-  sim::chargeModelOnly(Runtime::get().config().latency.cpu_atomic_ns);
+  return injectAmHandle(loc, std::move(fn));
 }
 
 std::uint64_t atomicRead(const std::atomic<std::uint64_t>& a) {
@@ -357,36 +320,6 @@ std::uint64_t atomicFetchAdd(std::atomic<std::uint64_t>& a, std::uint64_t delta)
   return out;
 }
 
-Handle<std::uint64_t> atomicFetchAddAsync(std::atomic<std::uint64_t>& a,
-                                          std::uint64_t delta) {
-  Runtime& rt = Runtime::get();
-  const LatencyModel& lat = rt.config().latency;
-  auto state = std::make_shared<detail::HandleState<std::uint64_t>>();
-  if (rt.commMode() == CommMode::ugni) {
-    // The NIC executes the atomic without caller CPU involvement: issue it
-    // now, completion one NIC-atomic latency out, caller pays only the
-    // injection cost and keeps running.
-    bump(g_counters.nic_atomics);
-    state->value = a.fetch_add(delta, std::memory_order_seq_cst);
-    const std::uint64_t join = sim::now() + lat.nic_atomic_ns;
-    sim::chargeModelOnly(lat.cpu_atomic_ns);
-    return completedHandle(std::move(state), join);
-  }
-  const std::uint32_t owner = ownerOf(&a);
-  if (owner == Runtime::here()) {
-    bump(g_counters.cpu_atomics);
-    sim::charge(lat.cpu_atomic_ns);
-    state->value = a.fetch_add(delta, std::memory_order_seq_cst);
-    return completedHandle(std::move(state), sim::now());
-  }
-  bump(g_counters.am_async);
-  auto* raw = state.get();
-  return injectAmHandle<std::uint64_t>(owner, state, [raw, &a, delta] {
-    sim::charge(Runtime::get().config().latency.cpu_atomic_ns);
-    raw->value = a.fetch_add(delta, std::memory_order_seq_cst);
-  });
-}
-
 bool atomicTestAndSet(std::atomic<std::uint64_t>& flag) {
   std::uint64_t out = 0;
   dispatchAmo(&flag, [&] { out = flag.exchange(1, std::memory_order_seq_cst); });
@@ -415,29 +348,6 @@ bool dcas(U128& target, U128& expected, U128 desired) {
     ok = dcasHardware(&target, expected, desired);
   });
   return ok;
-}
-
-Handle<DcasResult> dcasAsync(U128& target, U128 expected, U128 desired) {
-  Runtime& rt = Runtime::get();
-  const LatencyModel& lat = rt.config().latency;
-  const std::uint32_t owner = ownerOf(&target);
-  auto state = std::make_shared<detail::HandleState<DcasResult>>();
-  if (owner == Runtime::here()) {
-    bump(g_counters.dcas_local);
-    sim::charge(lat.cpu_atomic_ns);
-    state->value.success = dcasHardware(&target, expected, desired);
-    state->value.observed = expected;  // updated in place on failure
-    return completedHandle(std::move(state), sim::now());
-  }
-  bump(g_counters.dcas_remote);
-  bump(g_counters.am_async);
-  auto* raw = state.get();
-  return injectAmHandle<DcasResult>(
-      owner, state, [raw, &target, expected, desired]() mutable {
-        sim::charge(Runtime::get().config().latency.cpu_atomic_ns);
-        raw->value.success = dcasHardware(&target, expected, desired);
-        raw->value.observed = expected;
-      });
 }
 
 U128 dread(U128& target) {
@@ -507,36 +417,6 @@ void get(void* dst, std::uint32_t src_locale, const void* src,
   }
 }
 
-Handle<> putAsync(std::uint32_t dst_locale, void* dst, const void* src,
-                  std::size_t bytes) {
-  Runtime& rt = Runtime::get();
-  const LatencyModel& lat = rt.config().latency;
-  bump(g_counters.puts);
-  // RDMA: the NIC streams the data; the source buffer is reusable once the
-  // injection returns, and nobody's CPU clock is blocked on the transfer.
-  std::memcpy(dst, src, bytes);
-  std::uint64_t join = sim::now();
-  if (dst_locale != Runtime::here()) {
-    join += lat.bulkCost(bytes);
-    sim::chargeModelOnly(lat.cpu_atomic_ns);
-  }
-  return completedHandle(std::make_shared<detail::HandleState<void>>(), join);
-}
-
-Handle<> getAsync(void* dst, std::uint32_t src_locale, const void* src,
-                  std::size_t bytes) {
-  Runtime& rt = Runtime::get();
-  const LatencyModel& lat = rt.config().latency;
-  bump(g_counters.gets);
-  std::memcpy(dst, src, bytes);
-  std::uint64_t join = sim::now();
-  if (src_locale != Runtime::here()) {
-    join += lat.bulkCost(bytes);
-    sim::chargeModelOnly(lat.cpu_atomic_ns);
-  }
-  return completedHandle(std::make_shared<detail::HandleState<void>>(), join);
-}
-
 // ---------------------------------------------------------------------------
 // Aggregator
 // ---------------------------------------------------------------------------
@@ -565,11 +445,9 @@ void Aggregator::adoptRuntime() {
     next_age_deadline_ = kNoDeadline;
     runtime_generation_ = rt.generation();
     max_batch_age_ns_ = rt.config().aggregator_max_batch_age_ns;
-    if (!configured_) {
-      ops_per_batch_ = rt.config().aggregator_ops_per_batch;
-    }
+    ops_per_batch_ =
+        std::max<std::size_t>(1, rt.config().aggregator_ops_per_batch);
   }
-  if (ops_per_batch_ == 0) ops_per_batch_ = 1;
 }
 
 void Aggregator::enqueue(std::uint32_t loc, std::function<void()> op,

@@ -1,15 +1,13 @@
 // Communication layer: RDMA-style PUT/GET, remote atomics, and remote
-// execution -- with a non-blocking surface layered on top.
+// execution.
 //
-// Every hot operation has two spellings:
-//   * synchronous  -- blocks the calling task until the remote side is done
-//     and its simulated completion time has been folded into the caller.
-//     `amSync` is literally handle + wait(); the sync atomics/PUT/GET keep
-//     their own bodies because they *charge* the caller (physically
-//     busy-waiting under inject_delays), which a handle join does not.
-//   * asynchronous -- returns a `comm::Handle<T>` immediately; the caller
-//     overlaps further work and calls `wait()`/`value()` when it needs the
-//     result.
+// Atomics, DCAS and PUT/GET are synchronous: each blocks the calling task
+// until the remote side is done and *charges* the caller its cost
+// (physically busy-waiting under inject_delays). Remote execution is also
+// non-blocking: `amAsyncHandle`/`amAsyncValue` return a `comm::Handle<T>`
+// immediately; the caller overlaps further work and calls
+// `wait()`/`value()` when it needs the result. `amSync` is literally
+// handle + wait().
 //
 // Fire-and-forget operations destined for the same locale can additionally
 // be *aggregated* (Chapel's unordered/aggregated operations): a per-task
@@ -87,9 +85,8 @@ namespace detail {
 /// inline fast path) stores `done` with release order after writing `value`,
 /// so a waiter's acquire load of `done` publishes the value too.
 ///
-/// Beyond the spin-wait channel, a core carries *continuation waiters*:
-/// closures registered by combinators (`then`, `whenAll`) and by
-/// CompletionQueues. The completing thread runs them right after storing
+/// Beyond the spin-wait channel, a core carries *completion waiters*:
+/// closures registered by `whenAll` and by CompletionQueues. The completing thread runs them right after storing
 /// `done`, passing the join-ready time (completion + return wire) -- this
 /// is what lets progress threads *push* completions instead of tasks
 /// polling.
@@ -106,12 +103,6 @@ struct HandleCore {
   /// only read by the enqueuing thread (the one allowed to flush).
   std::atomic<Aggregator*> buffered_in{nullptr};
   std::uint32_t buffered_loc = 0;
-  /// For combinator-derived cores (then()): the parent core this one's
-  /// completion depends on. A derived core is never buffered itself, so
-  /// flushIfBuffered() walks this chain to reach the (possibly buffered)
-  /// root op. Written once at derivation, before the handle is shared;
-  /// read-only afterwards.
-  std::shared_ptr<HandleCore> flush_parent;
   std::mutex waiters_lock;
   /// Guarded by waiters_lock until completion; invoked with the join-ready
   /// simulated time. A waiter added after completion runs inline.
@@ -140,9 +131,7 @@ void addCompletionWaiter(HandleCore& core,
 void injectHandleAm(std::uint32_t loc, std::shared_ptr<HandleCore> core,
                     std::function<void()> fn);
 
-/// If `core`'s op -- or, for a combinator-derived core, the root op of its
-/// flush_parent chain -- is still buffered in the *calling task's*
-/// aggregator (taskAggregator()), ship its batch now so a subsequent wait
+/// If `core`'s op is still buffered in the *calling task's* aggregator (taskAggregator()), ship its batch now so a subsequent wait
 /// cannot block on an op that was never going to be sent. Ops buffered in
 /// another thread's aggregator are left alone (aggregators are
 /// single-task; only their owner may flush them) -- the owner's own join,
@@ -155,52 +144,11 @@ void flushIfBuffered(HandleCore& core);
 /// Aggregator lives below).
 void flushTaskAggregatorForDrain();
 
-// Counter hooks for the header-only combinators (the counters themselves
+// Counter hooks for the header-only templates (the counters themselves
 // live in comm.cpp).
 void noteAmAsync() noexcept;
 void noteHandlesChained() noexcept;
 void noteCqDrained() noexcept;
-
-}  // namespace detail
-
-template <typename T = void>
-class Handle;
-
-namespace detail {
-
-/// Result type of a `then` continuation: invoked with the parent's value
-/// (or with nothing, for Handle<void> parents).
-template <typename F, typename T>
-struct then_result {
-  using type = std::invoke_result_t<F&, const T&>;
-};
-template <typename F>
-struct then_result<F, void> {
-  using type = std::invoke_result_t<F&>;
-};
-
-/// Detects continuations that return a Handle<U> (monadic chaining: the
-/// derived handle resolves when the *inner* operation does).
-template <typename R>
-struct handle_unwrap {
-  static constexpr bool is_handle = false;
-  using type = R;
-};
-template <typename U>
-struct handle_unwrap<Handle<U>> {
-  static constexpr bool is_handle = true;
-  using type = U;
-};
-
-template <typename T, typename F>
-decltype(auto) invokeContinuation(F& fn, HandleState<T>& parent) {
-  if constexpr (std::is_void_v<T>) {
-    (void)parent;
-    return fn();
-  } else {
-    return fn(parent.value);
-  }
-}
 
 /// Join bookkeeping for whenAll: last completer closes the group at the
 /// max join time seen across the set.
@@ -215,13 +163,11 @@ struct WhenAllCtl {
 /// Copyable (shared state); dropping every copy without waiting is legal --
 /// the operation still completes, its result is simply discarded.
 ///
-/// Handles compose: `then(fn)` chains a continuation (run by whichever
-/// thread completes the operation, on the chain's simulated timeline);
-/// `whenAll`/`waitAll` join sets; a CompletionQueue turns completions into
-/// a drainable stream. A handle produced by a combinator completes at its
-/// *join-ready* time (return wire already folded), so waiting on it never
-/// double-charges the wire.
-template <typename T>
+/// Handles compose: `whenAll`/`waitAll` join sets; a CompletionQueue turns
+/// completions into a drainable stream. A `whenAll` handle completes at
+/// its *join-ready* time (return wire already folded), so waiting on it
+/// never double-charges the wire.
+template <typename T = void>
 class Handle {
  public:
   Handle() = default;  // invalid
@@ -264,77 +210,7 @@ class Handle {
     return state_->value;
   }
 
-  /// Chain a continuation: `fn` runs exactly once, when this operation
-  /// completes, invoked with the result (`const T&`; nothing for void
-  /// handles). Returns a handle for the continuation's own completion.
-  ///
-  /// The continuation executes on the thread that completed the parent (a
-  /// progress thread for remote AMs; the caller for already-complete
-  /// handles) under a sim::TimeScope pinned to the parent's join-ready
-  /// time, so everything it charges -- and every async op it issues --
-  /// extends the *chain's* timeline, not the host thread's. If `fn`
-  /// returns a `Handle<U>` the chain flattens: the derived handle resolves
-  /// when the *inner* operation does, so each hop of an async chain pays
-  /// its own wire + service charge.
-  ///
-  /// Continuations must not block or throw (they may run on a progress
-  /// thread, which is never the chain's owner); issue async ops and chain
-  /// further instead.
-  template <typename F>
-  auto then(F&& fn) {
-    PGASNB_CHECK_MSG(valid(), "then() on an invalid comm::Handle");
-    using R = typename detail::then_result<std::decay_t<F>, T>::type;
-    detail::noteHandlesChained();
-    if constexpr (detail::handle_unwrap<R>::is_handle) {
-      using U = typename detail::handle_unwrap<R>::type;
-      auto derived = std::make_shared<detail::HandleState<U>>();
-      derived->flush_parent = state_;
-      detail::addCompletionWaiter(
-          *state_, [parent = state_, derived,
-                    fn = std::decay_t<F>(std::forward<F>(fn))](
-                       std::uint64_t join) mutable {
-            sim::TimeScope at(join);
-            R inner = detail::invokeContinuation<T>(fn, *parent);
-            PGASNB_CHECK_MSG(inner.valid(),
-                             "then(): continuation returned an invalid Handle");
-            auto inner_state = inner.state();
-            detail::addCompletionWaiter(
-                *inner_state, [derived, inner_state](std::uint64_t inner_join) {
-                  if constexpr (!std::is_void_v<U>) {
-                    derived->value = inner_state->value;
-                  }
-                  detail::completeCore(*derived, inner_join);
-                });
-          });
-      return Handle<U>(std::move(derived));
-    } else if constexpr (std::is_void_v<R>) {
-      auto derived = std::make_shared<detail::HandleState<void>>();
-      derived->flush_parent = state_;
-      detail::addCompletionWaiter(
-          *state_, [parent = state_, derived,
-                    fn = std::decay_t<F>(std::forward<F>(fn))](
-                       std::uint64_t join) mutable {
-            sim::TimeScope at(join);
-            detail::invokeContinuation<T>(fn, *parent);
-            detail::completeCore(*derived, sim::now());
-          });
-      return Handle<>(std::move(derived));
-    } else {
-      auto derived = std::make_shared<detail::HandleState<R>>();
-      derived->flush_parent = state_;
-      detail::addCompletionWaiter(
-          *state_, [parent = state_, derived,
-                    fn = std::decay_t<F>(std::forward<F>(fn))](
-                       std::uint64_t join) mutable {
-            sim::TimeScope at(join);
-            derived->value = detail::invokeContinuation<T>(fn, *parent);
-            detail::completeCore(*derived, sim::now());
-          });
-      return Handle<R>(std::move(derived));
-    }
-  }
-
-  /// Internal: the shared completion state (combinators, CompletionQueue).
+  /// Internal: the shared completion state (whenAll, CompletionQueue).
   const std::shared_ptr<detail::HandleState<T>>& state() const noexcept {
     return state_;
   }
@@ -543,11 +419,9 @@ class CompletionQueue {
 /// wire latency. Handlers must be short (they serialize the target locale).
 void amSync(std::uint32_t loc, const std::function<void()>& fn);
 
-/// Fire-and-forget handler execution on `loc`'s progress thread.
-void amAsync(std::uint32_t loc, std::function<void()> fn);
-
 /// Non-blocking remote execution: ship `fn` to `loc`'s progress thread and
-/// return immediately with a completion handle. `amSync` is this + wait().
+/// return immediately with a completion handle. `amSync` is this + wait();
+/// dropping the handle makes it fire-and-forget.
 Handle<> amAsyncHandle(std::uint32_t loc, std::function<void()> fn);
 
 /// Non-blocking remote execution with a result: run `fn` on `loc`'s
@@ -603,12 +477,6 @@ std::uint64_t atomicFetchAdd(std::atomic<std::uint64_t>& a, std::uint64_t delta)
 bool atomicTestAndSet(std::atomic<std::uint64_t>& flag);
 void atomicClear(std::atomic<std::uint64_t>& flag);
 
-/// Non-blocking fetch-add: the operation is issued (NIC atomic under ugni,
-/// active message under none) without blocking the calling task; the handle
-/// resolves to the pre-add value.
-Handle<std::uint64_t> atomicFetchAddAsync(std::atomic<std::uint64_t>& a,
-                                          std::uint64_t delta);
-
 // --- 128-bit operations (pointer + ABA counter) -------------------------
 
 /// Double-word CAS against a (possibly remote) 16-byte word. RDMA NICs
@@ -625,18 +493,6 @@ void dwrite(U128& target, U128 desired);
 /// Atomic 128-bit exchange; returns the previous value.
 U128 dexchange(U128& target, U128 desired);
 
-/// Outcome of an asynchronous DCAS: `observed` is the target's prior value
-/// (== expected on success), so a retry loop can feed it straight back in.
-struct DcasResult {
-  bool success = false;
-  U128 observed{};
-};
-
-/// Non-blocking DCAS. `expected` is taken by value (the caller's copy can't
-/// be updated in place once the op is in flight); inspect the handle's
-/// DcasResult instead.
-Handle<DcasResult> dcasAsync(U128& target, U128 expected, U128 desired);
-
 // --- bulk data movement --------------------------------------------------
 
 /// RDMA PUT: copy `bytes` from local `src` into `dst` on `dst_locale`.
@@ -644,14 +500,6 @@ void put(std::uint32_t dst_locale, void* dst, const void* src, std::size_t bytes
 
 /// RDMA GET: copy `bytes` from `src` on `src_locale` into local `dst`.
 void get(void* dst, std::uint32_t src_locale, const void* src, std::size_t bytes);
-
-/// Non-blocking PUT/GET: the copy is initiated immediately; the handle
-/// resolves when the (simulated) transfer completes. The source buffer of a
-/// putAsync may be reused as soon as the call returns.
-Handle<> putAsync(std::uint32_t dst_locale, void* dst, const void* src,
-                  std::size_t bytes);
-Handle<> getAsync(void* dst, std::uint32_t src_locale, const void* src,
-                  std::size_t bytes);
 
 // --- aggregation ----------------------------------------------------------
 
@@ -661,7 +509,8 @@ Handle<> getAsync(void* dst, std::uint32_t src_locale, const void* src,
 /// target. Per-destination FIFO order is preserved; cross-destination order
 /// is not. Not thread-safe -- use one per task (see taskAggregator()).
 ///
-/// Buffered ops are shipped when a destination reaches `ops_per_batch`,
+/// Buffered ops are shipped when a destination reaches
+/// RuntimeConfig::aggregator_ops_per_batch,
 /// when the oldest buffered op for a destination exceeds
 /// RuntimeConfig::aggregator_max_batch_age_ns in simulated time (checked
 /// at each enqueue -- an under-filled bucket no longer waits for unpin),
@@ -670,9 +519,7 @@ Handle<> getAsync(void* dst, std::uint32_t src_locale, const void* src,
 /// inline.
 class Aggregator {
  public:
-  /// `ops_per_batch` == 0 means "adopt RuntimeConfig::aggregator_ops_per_batch".
-  explicit Aggregator(std::size_t ops_per_batch = 0)
-      : ops_per_batch_(ops_per_batch), configured_(ops_per_batch != 0) {}
+  Aggregator() = default;
   ~Aggregator();
 
   Aggregator(const Aggregator&) = delete;
@@ -697,12 +544,19 @@ class Aggregator {
   Handle<> enqueueHandle(std::uint32_t loc, std::function<void()> op,
                          std::uint64_t op_weight = 1);
 
-  /// Internal flavor of enqueueHandle for value-returning ops: `core` is
-  /// completed when the op's batch is serviced (the op closure itself is
-  /// responsible for writing the value before then).
-  void enqueueWithCore(std::uint32_t loc, std::function<void()> op,
-                       std::shared_ptr<detail::HandleCore> core,
-                       std::uint64_t op_weight = 1);
+  /// The aggregated twin of amAsyncValue: buffer `fn` for `loc` and get a
+  /// handle resolving to its return value, with enqueueHandle's batching,
+  /// auto-flush and window enrollment. Local targets run inline.
+  template <typename R, typename F>
+  Handle<R> enqueueValue(std::uint32_t loc, F&& fn) {
+    static_assert(!std::is_void_v<R>, "use enqueueHandle for void results");
+    auto state = std::make_shared<detail::HandleState<R>>();
+    auto* raw = state.get();
+    enqueueWithCore(
+        loc, [raw, fn = std::forward<F>(fn)]() mutable { raw->value = fn(); },
+        state);
+    return Handle<R>(std::move(state));
+  }
 
   /// Ship the pending batch for one destination / for all destinations.
   /// Charges one sender-side injection cost per non-empty bucket shipped;
@@ -734,14 +588,20 @@ class Aggregator {
     std::uint64_t first_op_time = 0;
   };
 
+  /// Every enqueue lands here: `core` (null for fire-and-forget ops) is
+  /// completed when the op's batch is serviced; a value-returning op's
+  /// closure writes the value before then.
+  void enqueueWithCore(std::uint32_t loc, std::function<void()> op,
+                       std::shared_ptr<detail::HandleCore> core,
+                       std::uint64_t op_weight = 1);
+
   /// Bind to the active runtime; discards stale buffers from a previous
   /// runtime generation (their closures reference dead objects).
   void adoptRuntime();
 
   static constexpr std::uint64_t kNoDeadline = ~std::uint64_t{0};
 
-  std::size_t ops_per_batch_;
-  bool configured_;
+  std::size_t ops_per_batch_ = 0;
   std::uint64_t max_batch_age_ns_ = 0;
   /// Earliest (first_op_time + max age) across non-empty buckets; enqueues
   /// only pay the full aged-bucket sweep once this has passed.
@@ -801,7 +661,7 @@ class OpWindow {
   OpWindow& operator=(const OpWindow&) = delete;
 
   /// Adopt an arbitrary handle into the window (e.g. a popAsync or
-  /// putAsync) and hand it back: the window's close will wait for it too.
+  /// amAsyncHandle) and hand it back: the window's close will wait for it too.
   /// Charges nothing.
   template <typename T>
   Handle<T> add(Handle<T> h) {
@@ -854,10 +714,10 @@ struct Counters {
   std::uint64_t am_batched = 0;      ///< batched AMs shipped by Aggregators
   std::uint64_t am_fence = 0;        ///< quiesceAmQueues drain fences
   std::uint64_t ops_aggregated = 0;  ///< logical ops routed through Aggregators
-  std::uint64_t handles_chained = 0; ///< combinator handles (then/whenAll)
+  std::uint64_t handles_chained = 0; ///< whenAll group handles
   std::uint64_t cq_drained = 0;      ///< completions popped from CompletionQueues
-  // Always 0 (continuations run where their parent completes, and
-  // batching is static); kept while perfbench reads them.
+  // Always 0 (nothing defers or stalls completions, and batching is
+  // static); kept while perfbench reads them.
   std::uint64_t backpressure_stalls = 0;
   std::uint64_t deferred_peak = 0;
   std::uint64_t tuner_batch_resizes = 0;

@@ -1,5 +1,5 @@
 // The asynchronous communication surface: completion handles and their
-// combinators (then-chaining, whenAll/waitAll, CompletionQueue drain), the
+// combinators (whenAll/waitAll, CompletionQueue drain), the
 // ProgressThread's FIFO busy_until model, the per-task Aggregator (flush
 // ordering, threshold/age flush, handle groups, counters), the aggregated
 // cross-locale retire path including flush-on-guard-unpin, and the
@@ -74,107 +74,7 @@ TEST_F(CommAsyncTest, ProgressThreadModelsFifoBusyUntil) {
   EXPECT_EQ(h2.completionTime(), lat.am_wire_ns + 2 * lat.am_service_ns);
 }
 
-TEST_F(CommAsyncTest, FetchAddAsyncReturnsThePriorValue) {
-  startRuntime(2);
-  auto* a = gnewOn<std::atomic<std::uint64_t>>(1, 10u);
-  auto h = comm::atomicFetchAddAsync(*a, 5);
-  EXPECT_EQ(h.value(), 10u);
-  EXPECT_EQ(comm::atomicRead(*a), 15u);
-  onLocale(1, [a] { gdelete(a); });
-}
-
-TEST_F(CommAsyncTest, FetchAddAsyncUnderUgniDoesNotBlockTheIssuer) {
-  startRuntime(2, CommMode::ugni);
-  auto* a = gnewOn<std::atomic<std::uint64_t>>(1, 1u);
-  sim::setNow(0);
-  auto h = comm::atomicFetchAddAsync(*a, 1);
-  const LatencyModel& lat = runtime_->config().latency;
-  // The NIC owns the op: the issuer pays only the injection cost...
-  EXPECT_LT(sim::now(), lat.nic_atomic_ns);
-  // ...and the result resolves one NIC-atomic latency out.
-  EXPECT_EQ(h.value(), 1u);
-  EXPECT_GE(sim::now(), lat.nic_atomic_ns);
-  onLocale(1, [a] { gdelete(a); });
-}
-
-TEST_F(CommAsyncTest, DcasAsyncReportsSuccessAndObservedValue) {
-  startRuntime(2);
-  U128* word = gnewOn<U128>(1);
-  comm::dwrite(*word, U128{1, 2});
-
-  auto ok = comm::dcasAsync(*word, U128{1, 2}, U128{3, 4});
-  EXPECT_TRUE(ok.value().success);
-  EXPECT_EQ(ok.value().observed.lo, 1u);
-
-  auto fail = comm::dcasAsync(*word, U128{9, 9}, U128{5, 5});
-  EXPECT_FALSE(fail.value().success);
-  EXPECT_EQ(fail.value().observed.lo, 3u);  // prior value reported back
-  onLocale(1, [word] { gdelete(word); });
-}
-
-TEST_F(CommAsyncTest, PutGetAsyncMoveBytesAndResolve) {
-  startRuntime(2);
-  std::uint64_t* remote = gnewOn<std::uint64_t>(1, 0u);
-  std::uint64_t src = 0xABCDEF;
-  auto hp = comm::putAsync(1, remote, &src, sizeof(src));
-  hp.wait();
-  std::uint64_t dst = 0;
-  auto hg = comm::getAsync(&dst, 1, remote, sizeof(dst));
-  hg.wait();
-  EXPECT_EQ(dst, 0xABCDEFu);
-  onLocale(1, [remote] { gdelete(remote); });
-}
-
 // --- handle combinators -----------------------------------------------------
-
-TEST_F(CommAsyncTest, ThenTransformsTheValueOnTheChainTimeline) {
-  startRuntime(2);
-  auto* a = gnewOn<std::atomic<std::uint64_t>>(1, 10u);
-  sim::setNow(0);
-  auto h = comm::atomicFetchAddAsync(*a, 5);
-  auto chained = h.then([](const std::uint64_t& v) { return v * 2; });
-  EXPECT_EQ(chained.value(), 20u);
-  const LatencyModel& lat = runtime_->config().latency;
-  // The continuation runs at the parent's join-ready time (completion +
-  // return wire) and charges nothing itself, so the chained handle
-  // completes exactly there.
-  EXPECT_EQ(chained.completionTime(), h.completionTime() + lat.am_wire_ns);
-  EXPECT_EQ(comm::counters().handles_chained, 1u);
-  onLocale(1, [a] { gdelete(a); });
-}
-
-TEST_F(CommAsyncTest, ThenChainsChargeWirePlusServicePerHop) {
-  startRuntime(3);
-  sim::setNow(0);
-  // Two remote hops: locale 1, then (from its progress thread) locale 2.
-  auto chained = comm::amAsyncHandle(1, [] {}).then([] {
-    return comm::amAsyncHandle(2, [] {});
-  });
-  chained.wait();
-  const LatencyModel& lat = runtime_->config().latency;
-  const std::uint64_t w = lat.am_wire_ns;
-  const std::uint64_t s = lat.am_service_ns;
-  // Hop 1 completes at w+s on locale 1 and joins at 2w+s -- the point the
-  // continuation launches from. Hop 2 then pays its own wire+service:
-  // completes at 3w+2s, joins at 4w+2s. The flattened handle completes at
-  // the chain's join-ready time.
-  EXPECT_EQ(chained.completionTime(), 4 * w + 2 * s);
-  EXPECT_GE(sim::now(), 4 * w + 2 * s);
-  EXPECT_EQ(comm::counters().handles_chained, 1u);
-}
-
-TEST_F(CommAsyncTest, ThenOnAReadyHandleRunsInlineWithoutAdvancingTheCaller) {
-  startRuntime(2);
-  sim::setNow(0);
-  auto ready = comm::readyHandle();
-  const std::uint64_t before = sim::now();
-  int ran = 0;
-  auto chained = ready.then([&ran] { ran = 1; });
-  EXPECT_EQ(ran, 1) << "parent already complete: continuation runs inline";
-  EXPECT_TRUE(chained.ready());
-  EXPECT_EQ(sim::now(), before)
-      << "then() is non-blocking: the caller's clock must not move";
-}
 
 TEST_F(CommAsyncTest, WhenAllJoinsAtTheMaxCompletionOfTheSet) {
   startRuntime(3);
@@ -315,8 +215,10 @@ TEST_F(CommAsyncTest, BatchedAmPaysOneLatencyPlusPerOpCpu) {
 }
 
 TEST_F(CommAsyncTest, AggregatorFlushesAtThresholdAndPreservesOrder) {
-  startRuntime(3);
-  comm::Aggregator agg(/*ops_per_batch=*/4);
+  RuntimeConfig cfg = testConfig(3);
+  cfg.aggregator_ops_per_batch = 4;
+  runtime_ = std::make_unique<Runtime>(cfg);
+  comm::Aggregator agg;
   std::mutex lock;
   std::vector<int> order1, order2;
   for (int i = 0; i < 9; ++i) {
@@ -355,9 +257,11 @@ TEST_F(CommAsyncTest, AggregatorRunsLocalOpsInline) {
 }
 
 TEST_F(CommAsyncTest, AggregatedHandleGroupResolvesTogether) {
-  startRuntime(2);
+  RuntimeConfig cfg = testConfig(2);
+  cfg.aggregator_ops_per_batch = 8;
+  runtime_ = std::make_unique<Runtime>(cfg);
   sim::setNow(0);
-  comm::Aggregator agg(/*ops_per_batch=*/8);
+  comm::Aggregator agg;
   std::atomic<int> ran{0};
   std::vector<comm::Handle<>> hs;
   comm::CompletionQueue cq;
@@ -383,11 +287,26 @@ TEST_F(CommAsyncTest, AggregatedHandleGroupResolvesTogether) {
   }
 }
 
+TEST_F(CommAsyncTest, EnqueueValueResolvesToTheResultWithItsBatch) {
+  startRuntime(2);
+  comm::Aggregator agg;
+  auto local = agg.enqueueValue<int>(Runtime::here(), [] { return 7; });
+  EXPECT_TRUE(local.ready()) << "local targets run inline";
+  EXPECT_EQ(local.value(), 7);
+  auto remote = agg.enqueueValue<std::uint32_t>(1, [] { return Runtime::here(); });
+  EXPECT_FALSE(remote.ready()) << "buffered until its batch ships";
+  agg.flushAll();
+  EXPECT_EQ(remote.value(), 1u) << "the op ran on the target locale";
+  EXPECT_EQ(comm::counters().am_batched, 1u);
+  EXPECT_EQ(comm::counters().ops_aggregated, 1u);
+}
+
 TEST_F(CommAsyncTest, AggregatorAgeFlushShipsUnderfilledBuckets) {
   RuntimeConfig cfg = testConfig(3);
   cfg.aggregator_max_batch_age_ns = 1000;
+  cfg.aggregator_ops_per_batch = 64;
   runtime_ = std::make_unique<Runtime>(cfg);
-  comm::Aggregator agg(/*ops_per_batch=*/64);
+  comm::Aggregator agg;
   std::atomic<int> ran{0};
   agg.enqueue(1, [&ran] { ran.fetch_add(1); });
   EXPECT_EQ(agg.pendingFor(1), 1u);
@@ -408,8 +327,9 @@ TEST_F(CommAsyncTest, AggregatorAgeFlushShipsUnderfilledBuckets) {
 TEST_F(CommAsyncTest, AggregatorAgeFlushDisabledWhenKnobIsZero) {
   RuntimeConfig cfg = testConfig(2);
   cfg.aggregator_max_batch_age_ns = 0;
+  cfg.aggregator_ops_per_batch = 64;
   runtime_ = std::make_unique<Runtime>(cfg);
-  comm::Aggregator agg(/*ops_per_batch=*/64);
+  comm::Aggregator agg;
   agg.enqueue(1, [] {});
   sim::setNow(sim::now() + 1'000'000'000);
   agg.flushAged();
@@ -515,6 +435,7 @@ TEST_P(RetirePolicyTest, CrossLocaleRetiresReclaimEverywhere) {
   Runtime rt(cfg);
   DistDomain domain = DistDomain::create();
   constexpr int kPerLocale = 40;
+  const comm::Counters before = comm::counters();
   coforallLocales([domain] {
     auto guard = domain.pin();
     const std::uint32_t nloc = Runtime::get().numLocales();
@@ -525,6 +446,13 @@ TEST_P(RetirePolicyTest, CrossLocaleRetiresReclaimEverywhere) {
       guard.retire(gnewOn<Tracked>(target));
     }
   });
+  // Every retire above targets another locale. per_op_am ships exactly one
+  // async AM per retire (the AMs fig8's >=4x bar counts); the other
+  // policies ship none.
+  const std::uint64_t async_ams = comm::counters().am_async - before.am_async;
+  EXPECT_EQ(async_ams, GetParam() == RemoteRetirePolicy::per_op_am
+                           ? static_cast<std::uint64_t>(kPerLocale) * 4
+                           : 0u);
   EXPECT_EQ(Tracked::live.load(), kPerLocale * 4);
   domain.clear();
   EXPECT_EQ(Tracked::live.load(), 0);

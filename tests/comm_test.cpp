@@ -159,7 +159,9 @@ TEST_F(CommTest, AmSyncLocalRunsInline) {
 TEST_F(CommTest, AmAsyncEventuallyRuns) {
   startRuntime(2);
   std::atomic<bool> ran{false};
-  comm::amAsync(1, [&ran] { ran.store(true, std::memory_order_release); });
+  // The handle is dropped: the AM still runs.
+  comm::amAsyncHandle(1,
+                      [&ran] { ran.store(true, std::memory_order_release); });
   spinUntil([&ran] { return ran.load(std::memory_order_acquire); });
   EXPECT_TRUE(ran.load());
 }
@@ -168,7 +170,7 @@ TEST_F(CommTest, AmsToSameLocaleAreFifo) {
   startRuntime(2);
   std::vector<int> order;
   for (int i = 0; i < 16; ++i) {
-    comm::amAsync(1, [&order, i] { order.push_back(i); });
+    comm::amAsyncHandle(1, [&order, i] { order.push_back(i); });
   }
   comm::amSync(1, [] {});  // fence: sync AM drains behind the async ones
   ASSERT_EQ(order.size(), 16u);

@@ -59,29 +59,15 @@ TEST_F(CommWindowTest, ValueJoinOnAggregatedPopAutoFlushes) {
   domain.destroy();
 }
 
-TEST_F(CommWindowTest, WaitOnThenDerivedHandleFlushesTheBufferedRoot) {
-  // Regression (PR-4 review): a then()-derived core is never buffered
-  // itself; wait() must walk the flush_parent chain and ship the ROOT
-  // op's batch, or a chained aggregated op deadlocks exactly like the
-  // pre-window footgun.
-  RuntimeConfig cfg = testConfig(2);
-  cfg.aggregator_ops_per_batch = 64;
-  runtime_ = std::make_unique<Runtime>(cfg);
-  std::atomic<int> ran{0};
-  auto root = comm::taskAggregator().enqueueHandle(1, [&ran] { ran.fetch_add(1); });
-  auto derived = root.then([] {}).then([] { return 7; });  // two-link chain
-  EXPECT_FALSE(derived.ready());
-  EXPECT_EQ(derived.value(), 7);  // must auto-flush the root's batch
-  EXPECT_EQ(ran.load(), 1);
-}
-
 TEST_F(CommWindowTest, CustomAggregatorOpsDoNotEnrollInWindows) {
   // Regression (PR-4 review): a window close can only flush the TASK
   // aggregator; auto-enrolling ops buffered in a hand-made Aggregator
   // would make join() spin forever on a batch it may not ship.
-  startRuntime(2);
+  RuntimeConfig cfg = testConfig(2);
+  cfg.aggregator_ops_per_batch = 64;
+  runtime_ = std::make_unique<Runtime>(cfg);
   std::atomic<int> ran{0};
-  comm::Aggregator agg(/*ops_per_batch=*/64);
+  comm::Aggregator agg;
   comm::Handle<> h;
   {
     comm::OpWindow window;

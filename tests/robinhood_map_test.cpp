@@ -269,6 +269,39 @@ TEST_F(RobinHoodTest, ExactlyOnceInsertUnderCrossLocaleContention) {
   domain.destroy();
 }
 
+TEST_F(RobinHoodTest, FindBatchCountsEachRemoteKeyOnceInOpsAggregated) {
+  // findBatch ships one aggregated op per owning locale whose weight is
+  // that owner's group size, so ops_aggregated grows by the number of
+  // remote keys -- not by the whole batch once per owner.
+  startRuntime(4);
+  DistDomain domain = DistDomain::create();
+  auto map = RobinHoodMap<std::uint64_t>::create(512, domain);
+  constexpr std::uint64_t kN = 64;
+  std::vector<std::uint64_t> keys;
+  std::uint64_t remote = 0;
+  std::vector<bool> owners(4, false);
+  for (std::uint64_t k = 0; k < kN; ++k) {
+    ASSERT_TRUE(map.insert(k, k + 1));
+    keys.push_back(k);
+    const std::uint32_t owner = map.ownerOfKey(k);
+    owners[owner] = true;
+    if (owner != Runtime::here()) ++remote;
+  }
+  for (std::uint32_t l = 0; l < 4; ++l) {
+    ASSERT_TRUE(owners[l]) << "no key of the batch is owned by locale " << l;
+  }
+  std::vector<std::optional<std::uint64_t>> out(keys.size());
+  const comm::Counters before = comm::counters();
+  map.findBatch(keys, out).wait();
+  EXPECT_EQ(comm::counters().ops_aggregated - before.ops_aggregated, remote);
+  for (std::uint64_t k = 0; k < kN; ++k) {
+    ASSERT_TRUE(out[k].has_value()) << "key=" << k;
+    EXPECT_EQ(*out[k], k + 1);
+  }
+  map.destroy();
+  domain.destroy();
+}
+
 TEST_F(RobinHoodTest, ConcurrentMixedChurnStaysCoherent) {
   startRuntime(4);
   DistDomain domain = DistDomain::create();
