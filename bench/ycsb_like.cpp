@@ -31,11 +31,15 @@
 // progress threads. The bench prints the ratio and a PASS/FAIL verdict and
 // exits non-zero on FAIL so CI can gate on it. Acceptance (ISSUE 9): every
 // insert-mix Robin Hood cell must finish with resizes >= 1 and
-// full_rejects == 0, also gated by exit status.
+// full_rejects == 0, also gated by exit status. Growth must not cost the
+// lead either: at every multi-locale count that ran (2, 4, 8), Robin Hood
+// insert-mix throughput must be >= 1x IHT insert-mix on both key
+// distributions, gated by exit status too.
 #include "bench_common.hpp"
 #include "workload_gen.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cinttypes>
 #include <mutex>
 
@@ -228,6 +232,8 @@ int main(int argc, char** argv) {
   constexpr KeyDist kDists[] = {KeyDist::uniform, KeyDist::zipfian};
 
   FigureTable table("ycsb-like");
+  // Insert-mix throughput by [log2(locales)][dist][table], for the >= 1x bar.
+  double insert_thr[4][2][2] = {};
   double at8_rh_thr = 0.0;
   double at8_iht_thr = 0.0;
   bool insert_rejected = false;
@@ -276,6 +282,10 @@ int main(int argc, char** argv) {
                          mix.name, toString(dist), locales);
             insert_mix_resized = false;
           }
+          if (mix.insert > 0.0) {
+            insert_thr[std::countr_zero(locales)][static_cast<int>(dist)]
+                      [static_cast<int>(kind)] = thr;
+          }
           if (locales == 8 && mix.read == kReadHeavyMix.read &&
               dist == KeyDist::zipfian) {
             if (kind == TableKind::robinhood) at8_rh_thr = thr;
@@ -297,9 +307,32 @@ int main(int argc, char** argv) {
       "\ninsert-mix check (crosses seed capacity, no full-segment rejects): "
       "PASS\n");
 
+  bool insert_mix_lead = true;
+  const std::uint32_t top = std::min(opts.max_locales, 8u);
+  for (std::uint32_t locales = 2; locales <= top; locales *= 2) {
+    for (KeyDist dist : kDists) {
+      const double* thr =
+          insert_thr[std::countr_zero(locales)][static_cast<int>(dist)];
+      const double rh = thr[static_cast<int>(TableKind::robinhood)];
+      const double iht = thr[static_cast<int>(TableKind::iht)];
+      insert_mix_lead = insert_mix_lead && rh >= iht;
+      std::printf(
+          "insert-mix %s at %u locales: robinhood %.2f vs iht %.2f Mops "
+          "(%.2fx)\n",
+          toString(dist), locales, rh * 1e-6, iht * 1e-6,
+          rh / (iht == 0.0 ? 1.0 : iht));
+    }
+  }
+  if (top < 2) {
+    std::printf("insert-mix bar skipped (needs --max-locales >= 2)\n");
+  } else {
+    std::printf("insert-mix bar (robinhood >= 1x iht at 2/4/8 locales): %s\n",
+                insert_mix_lead ? "PASS" : "FAIL");
+  }
+
   if (opts.max_locales < 8) {
     std::printf("acceptance check skipped (needs --max-locales >= 8)\n");
-    return 0;
+    return insert_mix_lead ? 0 : 1;
   }
   const double ratio = at8_rh_thr / (at8_iht_thr == 0.0 ? 1.0 : at8_iht_thr);
   const bool pass = ratio >= 2.0;
@@ -309,5 +342,5 @@ int main(int argc, char** argv) {
       ratio, at8_rh_thr * 1e-6, at8_iht_thr * 1e-6);
   std::printf("acceptance (robinhood >= 2x iht throughput): %s\n",
               pass ? "PASS" : "FAIL");
-  return pass ? 0 : 1;
+  return pass && insert_mix_lead ? 0 : 1;
 }

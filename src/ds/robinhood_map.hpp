@@ -2,11 +2,14 @@
 // probing -- the successor to InterlockedHashTable's closed chaining.
 //
 // Layout. The slot space is partitioned into one *segment per locale*. A
-// key's hash picks a global home slot in the fixed create()-time partition;
-// the segment containing that home slot is the key's owner, and the probe
-// sequence wraps *within* that segment's current table (segments are
-// independent Robin Hood tables, so displacement never crosses a locale
-// boundary -- the distributed analogue of per-bucket locality). Slots are
+// key's hash picks a global slot in the fixed create()-time partition; the
+// segment containing that slot is the key's owner, and the probe sequence
+// wraps *within* that segment's current table (segments are independent
+// Robin Hood tables, so displacement never crosses a locale boundary --
+// the distributed analogue of per-bucket locality). The home slot inside
+// a table comes from a second, independent mix of the key: the owner hash
+// is already fixed modulo the partition, so reusing it would confine a
+// segment's keys to a fraction of every doubled table. Slots are
 // 16-byte (key, value) pairs accessed with the same double-word atomics the
 // DCAS layer uses, so readers always observe a slot atomically.
 //
@@ -95,7 +98,9 @@ struct RobinHoodStats {
                             ///< current table -- the shadow's size while a
                             ///< segment is mid-migration)
   std::uint64_t used = 0;   ///< occupied slots
-  std::uint64_t max_displacement = 0;  ///< worst probe distance in the table
+  /// High-water mark of probe distance over each segment's whole life:
+  /// every table it has had, seed and grown, never reset; max over segments.
+  std::uint64_t max_displacement = 0;
   std::uint64_t full_rejects = 0;  ///< inserts refused by a full segment
   std::uint64_t resizes = 0;           ///< shadow tables started
   std::uint64_t migrate_chunks = 0;    ///< bounded migration steps executed
@@ -603,12 +608,14 @@ class RobinHoodMap {
     return static_cast<std::uint32_t>(globalSlotOf(key) / seg_slots_);
   }
 
-  /// Home slot of `key` inside table `t`. For the seed table (nslots ==
-  /// seg_slots_) this equals the old global-partition home because
-  /// seg_slots_ divides capacity_; doubled tables just rehash over the
-  /// wider ring.
+  /// Home slot of `key` inside table `t`, from a mix independent of the
+  /// owner hash: `rhHash(key) % t.nslots` would tie the home to the owner's
+  /// residue once `t.nslots` shares factors with `capacity_` (at 2 locales,
+  /// locale 0 could only ever home keys in the lower half of its doubled
+  /// table).
   static std::uint64_t homeIn(const Table& t, std::uint64_t key) noexcept {
-    return rhHash(key) % t.nslots;
+    std::uint64_t s = key ^ 0x9e3779b97f4a7c15ULL;
+    return splitmix64(s) % t.nslots;
   }
 
   /// Displacement of `key` if it sat at `pos` of `t` (distance from home).

@@ -322,6 +322,59 @@ TEST_F(RobinHoodResizeDist, CrossLocaleResizeUnderIntervalDomain) {
   domain.destroy();
 }
 
+/// Grown tables must stay uniform: every segment doubles twice past its seed
+/// size, then the life-long displacement high-water mark must stay small.
+/// A home hash that reuses the owner's residue (`rhHash % nslots` with
+/// `nslots` sharing factors with the create()-time capacity) leaves most of
+/// a doubled table unreachable as a home and probes run into the hundreds;
+/// `validateInvariants()` checks ordering only, so it cannot see that.
+void runGrownDisplacement(std::uint32_t locales) {
+  constexpr std::uint64_t kSeedSlots = 256;  // per segment
+  DistDomain domain = DistDomain::create();
+  auto map = RobinHoodMap<std::uint64_t>::create(
+      kSeedSlots * locales, domain, RobinHoodOptions{.migrate_chunk = 16});
+  // 3x the seed per segment crosses 0.85 * S and 0.85 * 2S (two doublings)
+  // but stays below 0.85 * 4S, so each segment ends on a 4S table.
+  const auto buckets = keysByOwner(map, locales, 3 * kSeedSlots);
+  std::vector<std::uint64_t> keys;
+  for (const auto& bucket : buckets) {
+    keys.insert(keys.end(), bucket.begin(), bucket.end());
+  }
+  // Every locale inserts a stride of all keys: most inserts are remote.
+  std::atomic<std::uint64_t> inserted{0};
+  const auto* keys_ptr = &keys;
+  coforallLocales([map, locales, keys_ptr, &inserted] {
+    std::uint64_t ok = 0;
+    for (std::size_t i = Runtime::here(); i < keys_ptr->size();
+         i += locales) {
+      if (map.insert((*keys_ptr)[i], i)) ++ok;
+    }
+    inserted.fetch_add(ok, std::memory_order_relaxed);
+  });
+  EXPECT_EQ(inserted.load(), keys.size());
+  awaitQuiescentMigration(map);
+  const auto stats = map.stats();
+  EXPECT_GE(stats.resizes, 2u * locales)
+      << "every segment must have doubled at least twice";
+  EXPECT_EQ(stats.slots, 4 * kSeedSlots * locales);
+  EXPECT_EQ(stats.full_rejects, 0u);
+  EXPECT_LT(stats.max_displacement, 64u)
+      << "grown tables must keep homes uniform";
+  EXPECT_TRUE(assertRobinHoodInvariants(map));
+  map.destroy();
+  domain.destroy();
+}
+
+TEST_F(RobinHoodResizeDist, GrownTablesKeepDisplacementSmallAt2Locales) {
+  startRuntime(2);
+  runGrownDisplacement(2);
+}
+
+TEST_F(RobinHoodResizeDist, GrownTablesKeepDisplacementSmallAt4Locales) {
+  startRuntime(4);
+  runGrownDisplacement(4);
+}
+
 // --- torture: concurrent mutators during forced chunked migrations ----------
 
 /// Readers, writers, and erasers race while every segment migrates with a
