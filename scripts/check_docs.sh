@@ -3,7 +3,7 @@
 #
 #   scripts/check_docs.sh          # check README.md + docs/*.md
 #
-# Three checks, all hard failures:
+# Four checks, all hard failures:
 #   1. Every fenced ```cpp block is extracted into a generated TU (one per
 #      markdown file; each block becomes the body of its own function,
 #      #include lines hoisted to the top) and compiled with
@@ -16,6 +16,12 @@
 #      by src/runtime/comm.hpp. The compiler decides: each name becomes a
 #      using-declaration in a generated TU that includes only that header,
 #      so a name surviving only in a comment there still fails.
+#   4. Every backticked `RobinHoodMap::<name>`, `MsQueue::<name>`,
+#      `DistStack::<name>` or `InterlockedHashTable::<name>` in prose and
+#      tables must be a member that the type's header in src/ds/ declares.
+#      The compiler decides again: each name becomes a using-declaration in
+#      a class derived from the type, so a member surviving only in a
+#      comment fails. Private members count as declared.
 #
 # CI runs this on every push/PR (the `docs` job); run it locally before
 # touching docs/.
@@ -120,7 +126,54 @@ if ! "$CXX" -std=c++20 -fsyntax-only -Isrc "$names_tu" > "$OUT_DIR/comm_names.lo
   status=1
 fi
 
+# --- 4. data-structure member names in prose --------------------------------
+
+declare -A ds_header=(
+  [RobinHoodMap]=ds/robinhood_map.hpp
+  [MsQueue]=ds/ms_queue.hpp
+  [DistStack]=ds/dist_stack.hpp
+  [InterlockedHashTable]=ds/interlocked_hash_table.hpp
+)
+ds_refs=$(for md in "${DOCS[@]}"; do strip_fenced_blocks "$md"; done \
+  | grep -oE '`[^`]*`' \
+  | grep -oE '(RobinHoodMap|MsQueue|DistStack|InterlockedHashTable)(<[^>`]*>)?::[A-Za-z_][A-Za-z0-9_]*' \
+  | sed -E 's/<[^>]*>//' | sort -u || true)
+ds_tu="$OUT_DIR/ds_names.cpp"
+{
+  echo "// generated by scripts/check_docs.sh -- do not edit"
+  for type in "${!ds_header[@]}"; do echo "#include \"${ds_header[$type]}\""; done
+  echo "namespace check_docs_ds_names {"
+  for type in "${!ds_header[@]}"; do
+    echo "using $type = pgasnb::$type<std::uint64_t>;"
+  done
+  n=0
+  for ref in $ds_refs; do
+    n=$((n + 1))
+    # One probe per line; the trailing comment names the reference.
+    echo "struct Probe$n : ${ref%%::*} { using $ref; };  // $ref"
+  done
+  echo "}"
+} > "$ds_tu"
+echo "check_docs: checking data-structure member names against src/ds/ headers"
+if ! "$CXX" -std=c++20 -fsyntax-only -Isrc "$ds_tu" > "$OUT_DIR/ds_names.log" 2>&1; then
+  # Private members are declared too; any other error is the TU's own.
+  if grep -E 'error:' "$OUT_DIR/ds_names.log" \
+      | grep -vqE "has not been declared in|is (private|protected) within this context"; then
+    cat "$OUT_DIR/ds_names.log" >&2
+    status=1
+  fi
+  for line in $(grep -E 'has not been declared in' "$OUT_DIR/ds_names.log" \
+      | grep -oE "^[^:]*ds_names\.cpp:[0-9]+" | cut -d: -f2 | sort -un); do
+    ref=$(sed -n "${line}p" "$ds_tu" | sed 's|.*// ||')
+    type=${ref%%::*}
+    where=$(grep -lE "${type}(<[^>\`]*>)?::${ref##*::}([^A-Za-z0-9_]|\$)" "${DOCS[@]}" \
+      | tr '\n' ' ')
+    echo "check_docs: STALE NAME $ref in ${where}-- not declared in src/${ds_header[$type]}" >&2
+    status=1
+  done
+fi
+
 if [[ "$status" -eq 0 ]]; then
-  echo "check_docs: OK (snippets compile, links resolve, comm:: names declared)"
+  echo "check_docs: OK (snippets compile, links resolve, comm:: and data-structure names declared)"
 fi
 exit "$status"

@@ -145,9 +145,9 @@ class InterlockedHashTable {
   // handle immediately; the handler runs under the progress thread's cached
   // epoch guard (DistDomain::threadGuard -- one token registration per
   // (progress thread, domain), pinned per handler). Local keys run in place
-  // and return an already-ready handle. These give the workload harness the
-  // same handle-based interface as RobinHoodMap, so both tables can be
-  // driven through comm::OpWindow joins.
+  // and return an already-ready handle. These are the handle-based ops a
+  // workload harness drives through comm::OpWindow joins, as it drives
+  // RobinHoodMap's *AsyncAggregated ops.
 
   comm::Handle<bool> insertAsync(std::uint64_t key, const V& value) const {
     return shipOp<bool>(
@@ -160,20 +160,6 @@ class InterlockedHashTable {
     return shipOp<std::optional<V>>(
         key, [key](Shard& shard, std::uint64_t lb, Guard& guard) {
           return shard.buckets[lb].find(guard, key);
-        });
-  }
-
-  comm::Handle<bool> containsAsync(std::uint64_t key) const {
-    return shipOp<bool>(
-        key, [key](Shard& shard, std::uint64_t lb, Guard& guard) {
-          return shard.buckets[lb].find(guard, key).has_value();
-        });
-  }
-
-  comm::Handle<std::optional<V>> eraseAsync(std::uint64_t key) const {
-    return shipOp<std::optional<V>>(
-        key, [key](Shard& shard, std::uint64_t lb, Guard& guard) {
-          return shard.buckets[lb].remove(guard, key);
         });
   }
 

@@ -13,16 +13,12 @@
 // network-visible 64-bit atomic driven through comm::atomicRead/atomicCas
 // (NIC atomic under ugni, AM under none, charged either way), and a
 // remote dummy's value comes back via a charged RDMA snapshot GET, exactly
-// like DistStack. This closes the single-address-space shortcut the
-// pre-PR-3 version documented.
+// like DistStack: no single-address-space shortcut.
 //
-// Async surface: enqueueAsync/dequeueAsync ship the operation to the
-// queue's home locale (where the head/tail words live) and return
-// completion handles; the shipped handler pins the progress thread's
-// cached guard (one registration per (thread, domain)) instead of
-// registering a token per message. enqueueAsyncAggregated additionally
-// rides the task Aggregator -- a window of appends is one batched AM --
-// and composes with comm::OpWindow for flush-free joining.
+// The queue has no async surface: enqueue/dequeue run on the calling
+// locale and reach the home locale's head/tail words through the comm
+// layer. Shipping a whole operation to its home is DistStack's
+// popAsync/pushAsyncAggregated and RobinHoodMap's *AsyncAggregated.
 #pragma once
 
 #include <atomic>
@@ -81,71 +77,6 @@ class MsQueue {
     enqueueNode(guard, node);
   }
 
-  /// Non-blocking enqueue: allocate the node here, ship the append loop to
-  /// the queue's home locale (where the head/tail words live), return a
-  /// completion handle. FIFO visibility starts when the handle is ready.
-  comm::Handle<> enqueueAsync(Guard& guard, T value) {
-    PGASNB_CHECK_MSG(guard.pinned(),
-                     "MsQueue::enqueueAsync requires a pinned guard");
-    Node* node = Domain::template make<Node>();
-    node->value = std::move(value);
-    if constexpr (Domain::kDistributed) {
-      const std::uint32_t home = Runtime::get().localeOfAddress(this);
-      if (home != Runtime::here()) {
-        return comm::amAsyncHandle(home, [this, node] {
-          // The append loop dereferences the observed tail, which may be a
-          // node another task just retired: pin the progress thread's
-          // cached guard (one token registration per (thread, domain))
-          // around the handler instead of registering per message.
-          PinScope<Guard> pin(domain().threadGuard());
-          enqueueNode(pin.guard(), node);
-        });
-      }
-    }
-    enqueueNode(guard, node);
-    return comm::readyHandle();
-  }
-
-  /// Stack-compatible spelling of enqueueAsync (the async surface exposes
-  /// pushAsync on every producer-side structure).
-  comm::Handle<> pushAsync(Guard& guard, T value) {
-    return enqueueAsync(guard, std::move(value));
-  }
-
-  /// Batched flavor of enqueueAsync: the shipped append loop rides the
-  /// calling task's comm::Aggregator, so a window of enqueues pays one
-  /// wire+service charge per batch instead of per enqueue -- the remote
-  /// tail-link CAS retry loop no longer round-trips per retry, it runs
-  /// entirely on the home locale as one op of a batch. The whole batch's
-  /// handles resolve together when it is serviced. Ships at batch-full /
-  /// age / flush -- or automatically when the handle is waited/drained or
-  /// an enclosing comm::OpWindow closes; no manual flushAll() needed.
-  comm::Handle<> enqueueAsyncAggregated(Guard& guard, T value) {
-    PGASNB_CHECK_MSG(guard.pinned(),
-                     "MsQueue::enqueueAsyncAggregated requires a pinned guard");
-    Node* node = Domain::template make<Node>();
-    node->value = std::move(value);
-    if constexpr (Domain::kDistributed) {
-      const std::uint32_t home = Runtime::get().localeOfAddress(this);
-      if (home != Runtime::here()) {
-        return comm::taskAggregator().enqueueHandle(home, [this, node] {
-          // Same guard discipline as enqueueAsync: the append loop
-          // dereferences the observed tail under the progress thread's
-          // cached guard.
-          PinScope<Guard> pin(domain().threadGuard());
-          enqueueNode(pin.guard(), node);
-        });
-      }
-    }
-    enqueueNode(guard, node);
-    return comm::readyHandle();
-  }
-
-  /// Stack-compatible spelling of enqueueAsyncAggregated.
-  comm::Handle<> pushAsyncAggregated(Guard& guard, T value) {
-    return enqueueAsyncAggregated(guard, std::move(value));
-  }
-
   std::optional<T> dequeue(Guard& guard) {
     PGASNB_CHECK_MSG(guard.pinned(), "MsQueue::dequeue requires a pinned guard");
     while (true) {
@@ -169,25 +100,6 @@ class MsQueue {
         return out;
       }
     }
-  }
-
-  /// Non-blocking dequeue via operation shipping: the dequeue loop runs on
-  /// the queue's home locale under the progress thread's cached guard; the
-  /// handle resolves to the value, or nullopt if the queue was empty at
-  /// linearization.
-  comm::Handle<std::optional<T>> dequeueAsync(Guard& guard) {
-    PGASNB_CHECK_MSG(guard.pinned(),
-                     "MsQueue::dequeueAsync requires a pinned guard");
-    if constexpr (Domain::kDistributed) {
-      const std::uint32_t home = Runtime::get().localeOfAddress(this);
-      if (home != Runtime::here()) {
-        return comm::amAsyncValue<std::optional<T>>(home, [this] {
-          PinScope<Guard> pin(domain().threadGuard());
-          return dequeue(pin.guard());
-        });
-      }
-    }
-    return comm::readyValueHandle(dequeue(guard));
   }
 
   bool emptyApprox() const {

@@ -49,10 +49,9 @@ std::uint64_t opsForLane(std::uint64_t ops_per_epoch, std::uint32_t lane_id,
 }
 
 /// Admit phase for one lane: generate the slice, then partition it by
-/// owner locale -- the counting-sort flavor of the owner grouping
-/// RobinHoodMap::findBatch does with index buckets. Per-owner admit order
-/// is preserved (stable scatter), so per-destination FIFO semantics of the
-/// aggregated surface carry through. Charges admit CPU per op.
+/// owner locale with a counting sort. Per-owner admit order is preserved
+/// (stable scatter), so per-destination FIFO semantics of the aggregated
+/// surface carry through. Charges admit CPU per op.
 void admitAndGroup(EpochClient& client, const EpochEngineConfig& cfg,
                    std::uint64_t epoch, std::uint32_t lane_id,
                    std::uint64_t count, std::vector<OpRecord>& out) {

@@ -83,9 +83,9 @@ void clearAll(Privatized<Impl> handle) {
 // Per-thread cached guards (progress-thread handler pins)
 // ---------------------------------------------------------------------------
 //
-// An AM handler that dereferences protected nodes (MsQueue::enqueueAsync's
-// append loop, DistStack::popAsync's pop loop) needs a pin on the progress
-// thread. Registering a fresh token per message costs pool atomics and
+// An AM handler that dereferences protected nodes (DistStack::popAsync's
+// pop loop, InterlockedHashTable's shipped list ops) needs a pin on the
+// progress thread. Registering a fresh token per message costs pool atomics and
 // allocated-list churn on the hot path; instead each thread keeps one
 // *attached* guard per domain and pins/unpins it around each handler --
 // Fraser-style cheap per-operation pinning restored for handlers.

@@ -455,10 +455,9 @@ void Aggregator::enqueue(std::uint32_t loc, std::function<void()> op,
   enqueueWithCore(loc, std::move(op), nullptr, op_weight);
 }
 
-Handle<> Aggregator::enqueueHandle(std::uint32_t loc, std::function<void()> op,
-                                   std::uint64_t op_weight) {
+Handle<> Aggregator::enqueueHandle(std::uint32_t loc, std::function<void()> op) {
   auto state = std::make_shared<detail::HandleState<void>>();
-  enqueueWithCore(loc, std::move(op), state, op_weight);
+  enqueueWithCore(loc, std::move(op), state);
   return Handle<>(std::move(state));
 }
 

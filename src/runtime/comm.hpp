@@ -428,7 +428,7 @@ Handle<> amAsyncHandle(std::uint32_t loc, std::function<void()> fn);
 /// progress thread; the handle resolves to `fn`'s return value. Local
 /// targets run inline (the handle is immediately ready). This is the
 /// building block for operation-shipped data-structure ops that return
-/// values (DistStack::popAsync, MsQueue::dequeueAsync).
+/// values (DistStack::popAsync, InterlockedHashTable's async ops).
 template <typename R, typename F>
 Handle<R> amAsyncValue(std::uint32_t loc, F&& fn) {
   static_assert(!std::is_void_v<R>, "use amAsyncHandle for void results");
@@ -528,7 +528,8 @@ class Aggregator {
   /// Buffer `op` for `loc` (fire-and-forget; charges nothing until the
   /// batch ships). `op_weight` is the number of logical operations the
   /// closure performs (a pre-batched retire closure carries many); it
-  /// feeds the ops_aggregated counter and nothing else.
+  /// feeds the ops_aggregated counter and nothing else. Every other
+  /// enqueue path counts its closure as one op.
   void enqueue(std::uint32_t loc, std::function<void()> op,
                std::uint64_t op_weight = 1);
 
@@ -541,8 +542,7 @@ class Aggregator {
   /// by a closing OpWindow (on the task aggregator, joining an unshipped op
   /// can no longer deadlock). Handles issued while an OpWindow is open on
   /// this thread enroll into it.
-  Handle<> enqueueHandle(std::uint32_t loc, std::function<void()> op,
-                         std::uint64_t op_weight = 1);
+  Handle<> enqueueHandle(std::uint32_t loc, std::function<void()> op);
 
   /// The aggregated twin of amAsyncValue: buffer `fn` for `loc` and get a
   /// handle resolving to its return value, with enqueueHandle's batching,
@@ -623,7 +623,7 @@ Aggregator& taskAggregator();
 /// above all *aggregated* ones. While a window is open on a thread, every
 /// handle-carrying op buffered through the thread's **task aggregator**
 /// (DistStack::popAsyncAggregated / pushAsyncAggregated,
-/// MsQueue::enqueueAsyncAggregated, enqueueHandle on taskAggregator())
+/// RobinHoodMap's *AsyncAggregated, enqueueHandle on taskAggregator())
 /// enrolls into the innermost open window automatically; handles of
 /// non-aggregated ops can be adopted with add(). Ops buffered in a
 /// hand-made Aggregator never auto-enroll -- the window cannot flush an
@@ -713,7 +713,10 @@ struct Counters {
   std::uint64_t am_async = 0;
   std::uint64_t am_batched = 0;      ///< batched AMs shipped by Aggregators
   std::uint64_t am_fence = 0;        ///< quiesceAmQueues drain fences
-  std::uint64_t ops_aggregated = 0;  ///< logical ops routed through Aggregators
+  /// Logical ops routed through Aggregators to another locale: one per
+  /// closure, except an enqueue() closure counts its op_weight (a batched
+  /// retire closure counts each retire it carries).
+  std::uint64_t ops_aggregated = 0;
   std::uint64_t handles_chained = 0; ///< whenAll group handles
   std::uint64_t cq_drained = 0;      ///< completions popped from CompletionQueues
   // Always 0 (nothing defers or stalls completions, and batching is

@@ -3,8 +3,8 @@
 // ProgressThread's FIFO busy_until model, the per-task Aggregator (flush
 // ordering, threshold/age flush, handle groups, counters), the aggregated
 // cross-locale retire path including flush-on-guard-unpin, and the
-// operation-shipped async data-structure ops (popAsync/dequeueAsync under
-// the progress-thread guard cache).
+// operation-shipped async DistStack ops (popAsync under the
+// progress-thread guard cache, aggregated pushes and pops).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -365,8 +365,12 @@ TEST_F(CommAsyncTest, GuardUnpinFlushesBufferedRetires) {
     // Still buffered in the guard: nothing deferred anywhere yet.
     EXPECT_EQ(guard.pendingRetires(), 2u);
     EXPECT_EQ(domain.stats().deferred, 0u);
+    const comm::Counters before = comm::counters();
     guard.unpin();
     EXPECT_EQ(guard.pendingRetires(), 0u) << "unpin must flush";
+    // One shipped closure carries both retires: ops_aggregated counts the
+    // closure's weight, not the closure.
+    EXPECT_EQ(comm::counters().ops_aggregated - before.ops_aggregated, 2u);
     comm::amSync(1, [] {});  // FIFO drain of the batched AM
     EXPECT_EQ(domain.stats().deferred, 2u)
         << "flushed retires land in the owner's limbo list";
@@ -476,7 +480,7 @@ INSTANTIATE_TEST_SUITE_P(Policies, RetirePolicyTest,
 
 // --- async data-structure operations ----------------------------------------
 
-TEST_F(CommAsyncTest, DistStackPushAsyncLinksOnHomeLocale) {
+TEST_F(CommAsyncTest, DistStackAggregatedPushesLinkOnHomeLocale) {
   startRuntime(4);
   DistDomain domain = DistDomain::create();
   auto* stack = DistStack<std::uint64_t>::create(domain, /*home=*/0);
@@ -487,7 +491,7 @@ TEST_F(CommAsyncTest, DistStackPushAsyncLinksOnHomeLocale) {
     handles.reserve(kPerLocale);
     for (int i = 0; i < kPerLocale; ++i) {
       handles.push_back(
-          stack->pushAsync(guard, Runtime::here() * 1000 + i));
+          stack->pushAsyncAggregated(guard, Runtime::here() * 1000 + i));
     }
     for (auto& h : handles) h.wait();
   });
@@ -499,21 +503,6 @@ TEST_F(CommAsyncTest, DistStackPushAsyncLinksOnHomeLocale) {
   }
   DistStack<std::uint64_t>::destroy(stack);
   domain.destroy();
-}
-
-TEST_F(CommAsyncTest, MsQueueEnqueueAsyncKeepsFifoLocally) {
-  LocalDomain domain;
-  MsQueue<int> queue(domain);
-  auto guard = domain.pin();
-  for (int i = 0; i < 16; ++i) {
-    auto h = queue.enqueueAsync(guard, i);
-    EXPECT_TRUE(h.ready()) << "local enqueueAsync completes inline";
-  }
-  for (int i = 0; i < 16; ++i) {
-    auto v = queue.dequeue(guard);
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);
-  }
 }
 
 TEST_F(CommAsyncTest, DistStackPopAsyncShipsThePopLoop) {
@@ -549,12 +538,9 @@ TEST_F(CommAsyncTest, DistStackAggregatedPopsDrainAcrossLocales) {
   constexpr int kPerLocale = 24;
   coforallLocales([domain, stack] {
     auto guard = domain.pin();
-    std::vector<comm::Handle<>> pushes;
-    pushes.reserve(kPerLocale);
     for (int i = 0; i < kPerLocale; ++i) {
-      pushes.push_back(stack->pushAsync(guard, Runtime::here() * 1000 + i));
+      stack->push(guard, Runtime::here() * 1000 + i);
     }
-    comm::waitAll(pushes);
   });
   // Exactly as many pops as items, issued in windows of batched async pops:
   // every one must come back with a value, across all locales.
@@ -575,36 +561,6 @@ TEST_F(CommAsyncTest, DistStackAggregatedPopsDrainAcrossLocales) {
   EXPECT_EQ(popped.load(), static_cast<std::uint64_t>(kPerLocale) * 4);
   EXPECT_TRUE(stack->emptyApprox());
   DistStack<std::uint64_t>::destroy(stack);
-  domain.destroy();
-}
-
-TEST_F(CommAsyncTest, MsQueueAsyncOpsShipUnderDistDomain) {
-  startRuntime(2);
-  DistDomain domain = DistDomain::create();
-  auto* queue = gnewOn<MsQueue<std::uint64_t, DistDomain>>(0, domain);
-  const auto before = comm::counters();
-  onLocale(1, [domain, queue] {
-    auto guard = domain.pin();
-    std::vector<comm::Handle<>> hs;
-    hs.reserve(16);
-    for (std::uint64_t i = 0; i < 16; ++i) {
-      hs.push_back(queue->enqueueAsync(guard, i));
-    }
-    comm::waitAll(hs);
-    for (std::uint64_t i = 0; i < 16; ++i) {
-      auto h = queue->dequeueAsync(guard);
-      auto v = h.value();
-      ASSERT_TRUE(v.has_value());
-      EXPECT_EQ(*v, i) << "shipped enqueues/dequeues preserve FIFO";
-    }
-    EXPECT_FALSE(queue->dequeueAsync(guard).value().has_value());
-  });
-  // The shipped handlers run under the home progress thread's cached guard
-  // and the queue's node-field reads go through the comm layer now: the
-  // remote dequeues must have injected AMs (no direct-load shortcut).
-  EXPECT_GT(comm::counters().totalAms(), before.totalAms());
-  domain.clear();
-  onLocale(0, [queue] { gdelete(queue); });
   domain.destroy();
 }
 

@@ -1,8 +1,8 @@
 // Operation windows and the multi-consumer completion surface: wait-time
 // auto-flush of task-aggregated handles, OpWindow ownership (auto-enroll,
 // add), window join at the max sim-time of the set, LIFO nesting,
-// destructor-flush during exception unwinding, the aggregated DS ops
-// (pushAsyncAggregated / enqueueAsyncAggregated), and the MPMC
+// destructor-flush during exception unwinding, the aggregated DistStack
+// ops (popAsyncAggregated / pushAsyncAggregated), and the MPMC
 // CompletionQueue (one queue drained by several consumers, stress).
 #include <gtest/gtest.h>
 
@@ -204,30 +204,6 @@ TEST_F(CommWindowTest, WindowedAggregatedPushesLinkOnHome) {
     EXPECT_EQ(count, kPerLocale * 4);
   }
   DistStack<std::uint64_t>::destroy(stack);
-  domain.destroy();
-}
-
-TEST_F(CommWindowTest, MsQueueAggregatedEnqueuesPreserveFifo) {
-  startRuntime(2);
-  DistDomain domain = DistDomain::create();
-  auto* queue = gnewOn<MsQueue<std::uint64_t, DistDomain>>(0, domain);
-  onLocale(1, [domain, queue] {
-    auto guard = domain.pin();
-    {
-      comm::OpWindow window;
-      for (std::uint64_t i = 0; i < 16; ++i) {
-        queue->enqueueAsyncAggregated(guard, i);
-      }
-    }  // one batched AM carries all 16 appends; joined here
-    for (std::uint64_t i = 0; i < 16; ++i) {
-      auto v = queue->dequeueAsync(guard).value();
-      ASSERT_TRUE(v.has_value());
-      EXPECT_EQ(*v, i) << "batched appends keep per-destination FIFO";
-    }
-    EXPECT_FALSE(queue->dequeueAsync(guard).value().has_value());
-  });
-  domain.clear();
-  onLocale(0, [queue] { gdelete(queue); });
   domain.destroy();
 }
 

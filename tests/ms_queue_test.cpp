@@ -1,4 +1,5 @@
-// Michael-Scott queue: FIFO semantics and MPMC conservation with EBR.
+// Michael-Scott queue: FIFO semantics and MPMC conservation with EBR, and
+// the communication-faithful queue under DistDomain.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -7,9 +8,12 @@
 #include <vector>
 
 #include "ds/ms_queue.hpp"
+#include "test_support.hpp"
 
 namespace pgasnb {
 namespace {
+
+using testing::RuntimeParamTest;
 
 TEST(MsQueue, EmptyDequeuesNothing) {
   LocalDomain domain;
@@ -152,6 +156,49 @@ TEST(MsQueue, PerElementFifoPerProducer) {
     EXPECT_EQ(next_expected[p], kPerProducer);
   }
 }
+
+// --- distributed queue --------------------------------------------------------
+
+class MsQueueDistTest : public RuntimeParamTest {};
+
+TEST_P(MsQueueDistTest, SyncOpsFromAnotherLocaleKeepFifoOverTheCommLayer) {
+  DistDomain domain = DistDomain::create();
+  auto* queue = gnewOn<MsQueue<std::uint64_t, DistDomain>>(0, domain);
+  constexpr std::uint64_t kHalf = 8;
+  {
+    auto guard = domain.pin();  // locale 0, the queue's home
+    for (std::uint64_t i = 0; i < kHalf; ++i) queue->enqueue(guard, i);
+  }
+  // The last locale drives the rest: remote from the queue's home
+  // whenever the runtime has more than one locale.
+  const std::uint32_t user = Runtime::get().numLocales() - 1;
+  const CommMode mode = GetParam().mode;
+  onLocale(user, [domain, queue, user, mode] {
+    auto guard = domain.pin();
+    const comm::Counters before = comm::counters();
+    for (std::uint64_t i = kHalf; i < 2 * kHalf; ++i) queue->enqueue(guard, i);
+    for (std::uint64_t i = 0; i < 2 * kHalf; ++i) {
+      auto v = queue->dequeue(guard);
+      ASSERT_TRUE(v.has_value());
+      EXPECT_EQ(*v, i);
+    }
+    EXPECT_FALSE(queue->dequeue(guard).has_value());
+    // A remote user reaches the head/tail words and links through the comm
+    // layer -- AMs under none, NIC atomics under ugni (where local atomics
+    // are NIC atomics too) -- and fetches the values of home-enqueued nodes
+    // by RDMA GET: no direct-load shortcut.
+    const comm::Counters after = comm::counters();
+    EXPECT_EQ(after.totalAms() > before.totalAms(),
+              user != 0 && mode == CommMode::none);
+    EXPECT_EQ(after.gets - before.gets, user != 0 ? kHalf : 0u);
+  });
+  domain.clear();
+  onLocale(0, [queue] { gdelete(queue); });
+  domain.destroy();
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, MsQueueDistTest, PGASNB_RUNTIME_PARAMS,
+                         pgasnb::testing::paramName);
 
 }  // namespace
 }  // namespace pgasnb

@@ -149,24 +149,50 @@ TEST_P(RobinHoodModeTest, InsertFindEraseAcrossLocales) {
   domain.destroy();
 }
 
-TEST_P(RobinHoodModeTest, AsyncOpsMatchSyncSemantics) {
+TEST_P(RobinHoodModeTest, AggregatedOpsMatchSyncSemantics) {
   DistDomain domain = DistDomain::create();
   auto map = RobinHoodMap<std::uint64_t>::create(256, domain);
+  // One window per step: no window holds two ops on the same key, so every
+  // result below is fixed by the steps before it.
+  comm::Handle<bool> insert_new, put_new, insert_dup, put_present;
+  {
+    comm::OpWindow window;
+    insert_new = map.insertAsyncAggregated(1, 10);
+    put_new = map.putAsyncAggregated(2, 20);
+  }
+  EXPECT_TRUE(insert_new.value());
+  EXPECT_TRUE(put_new.value());
+  {
+    comm::OpWindow window;
+    insert_dup = map.insertAsyncAggregated(1, 11);
+    put_present = map.putAsyncAggregated(2, 21);
+  }
+  EXPECT_FALSE(insert_dup.value()) << "duplicate key";
+  EXPECT_FALSE(put_present.value()) << "upsert of present key";
 
-  EXPECT_TRUE(map.insertAsync(1, 10).value());
-  EXPECT_FALSE(map.insertAsync(1, 11).value()) << "duplicate key";
-  EXPECT_TRUE(map.putAsync(2, 20).value());
-  EXPECT_FALSE(map.putAsync(2, 21).value()) << "upsert of present key";
+  comm::Handle<std::optional<std::uint64_t>> find1, find2, find_absent;
+  {
+    comm::OpWindow window;
+    find1 = map.findAsyncAggregated(1);
+    find2 = map.findAsyncAggregated(2);
+    find_absent = map.findAsyncAggregated(3);
+  }
+  EXPECT_EQ(*find1.value(), 10u);
+  EXPECT_EQ(*find2.value(), 21u);
+  EXPECT_FALSE(find_absent.value().has_value());
 
-  EXPECT_EQ(*map.findAsync(1).value(), 10u);
-  EXPECT_EQ(*map.findAsync(2).value(), 21u);
-  EXPECT_TRUE(map.containsAsync(1).value());
-  EXPECT_FALSE(map.containsAsync(3).value());
-
-  auto erased = map.eraseAsync(1).value();
-  ASSERT_TRUE(erased.has_value());
-  EXPECT_EQ(*erased, 10u);
-  EXPECT_FALSE(map.eraseAsync(1).value().has_value());
+  comm::Handle<std::optional<std::uint64_t>> erased;
+  {
+    comm::OpWindow window;
+    erased = map.eraseAsyncAggregated(1);
+  }
+  ASSERT_TRUE(erased.value().has_value());
+  EXPECT_EQ(*erased.value(), 10u);
+  {
+    comm::OpWindow window;
+    erased = map.eraseAsyncAggregated(1);
+  }
+  EXPECT_FALSE(erased.value().has_value()) << "erase of an absent key";
 
   map.destroy();
   domain.destroy();
@@ -186,16 +212,21 @@ TEST_P(RobinHoodModeTest, AggregatedWindowedOpsResolveTogether) {
   for (auto& h : inserts) EXPECT_TRUE(h.value());
   EXPECT_EQ(map.sizeApprox(), kN);
 
-  std::vector<comm::Handle<std::optional<std::uint64_t>>> finds;
+  // Present and absent keys in one window, issued in descending order.
+  std::vector<comm::Handle<std::optional<std::uint64_t>>> finds(2 * kN);
   {
     comm::OpWindow window;
-    for (std::uint64_t k = 0; k < kN; ++k) {
-      finds.push_back(map.findAsyncAggregated(k));
+    for (std::uint64_t k = 2 * kN; k-- > 0;) {
+      finds[k] = map.findAsyncAggregated(k);
     }
   }
-  for (std::uint64_t k = 0; k < kN; ++k) {
-    ASSERT_TRUE(finds[k].value().has_value()) << "k=" << k;
-    EXPECT_EQ(*finds[k].value(), k * 3);
+  for (std::uint64_t k = 0; k < 2 * kN; ++k) {
+    if (k < kN) {
+      ASSERT_TRUE(finds[k].value().has_value()) << "k=" << k;
+      EXPECT_EQ(*finds[k].value(), k * 3);
+    } else {
+      EXPECT_FALSE(finds[k].value().has_value()) << "k=" << k;
+    }
   }
 
   std::vector<comm::Handle<std::optional<std::uint64_t>>> erases;
@@ -208,29 +239,6 @@ TEST_P(RobinHoodModeTest, AggregatedWindowedOpsResolveTogether) {
   for (auto& h : erases) EXPECT_TRUE(h.value().has_value());
   EXPECT_EQ(map.sizeApprox(), kN / 2);
   EXPECT_TRUE(assertRobinHoodInvariants(map));
-  map.destroy();
-  domain.destroy();
-}
-
-TEST_P(RobinHoodModeTest, FindBatchGroupsKeysByOwner) {
-  DistDomain domain = DistDomain::create();
-  auto map = RobinHoodMap<std::uint64_t>::create(512, domain);
-  constexpr std::uint64_t kN = 128;
-  for (std::uint64_t k = 0; k < kN; ++k) ASSERT_TRUE(map.insert(k, k + 7));
-
-  // Mixed present/absent batch, unsorted keys.
-  std::vector<std::uint64_t> keys;
-  for (std::uint64_t k = 0; k < 2 * kN; ++k) keys.push_back(2 * kN - 1 - k);
-  std::vector<std::optional<std::uint64_t>> out(keys.size());
-  map.findBatch(keys, out).wait();
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    if (keys[i] < kN) {
-      ASSERT_TRUE(out[i].has_value()) << "key=" << keys[i];
-      EXPECT_EQ(*out[i], keys[i] + 7);
-    } else {
-      EXPECT_FALSE(out[i].has_value()) << "key=" << keys[i];
-    }
-  }
   map.destroy();
   domain.destroy();
 }
@@ -264,39 +272,6 @@ TEST_F(RobinHoodTest, ExactlyOnceInsertUnderCrossLocaleContention) {
     const auto v = map.find(k);
     ASSERT_TRUE(v.has_value());
     EXPECT_EQ(*v % 1000, k);
-  }
-  map.destroy();
-  domain.destroy();
-}
-
-TEST_F(RobinHoodTest, FindBatchCountsEachRemoteKeyOnceInOpsAggregated) {
-  // findBatch ships one aggregated op per owning locale whose weight is
-  // that owner's group size, so ops_aggregated grows by the number of
-  // remote keys -- not by the whole batch once per owner.
-  startRuntime(4);
-  DistDomain domain = DistDomain::create();
-  auto map = RobinHoodMap<std::uint64_t>::create(512, domain);
-  constexpr std::uint64_t kN = 64;
-  std::vector<std::uint64_t> keys;
-  std::uint64_t remote = 0;
-  std::vector<bool> owners(4, false);
-  for (std::uint64_t k = 0; k < kN; ++k) {
-    ASSERT_TRUE(map.insert(k, k + 1));
-    keys.push_back(k);
-    const std::uint32_t owner = map.ownerOfKey(k);
-    owners[owner] = true;
-    if (owner != Runtime::here()) ++remote;
-  }
-  for (std::uint32_t l = 0; l < 4; ++l) {
-    ASSERT_TRUE(owners[l]) << "no key of the batch is owned by locale " << l;
-  }
-  std::vector<std::optional<std::uint64_t>> out(keys.size());
-  const comm::Counters before = comm::counters();
-  map.findBatch(keys, out).wait();
-  EXPECT_EQ(comm::counters().ops_aggregated - before.ops_aggregated, remote);
-  for (std::uint64_t k = 0; k < kN; ++k) {
-    ASSERT_TRUE(out[k].has_value()) << "key=" << k;
-    EXPECT_EQ(*out[k], k + 1);
   }
   map.destroy();
   domain.destroy();
