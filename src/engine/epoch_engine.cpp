@@ -78,7 +78,7 @@ void admitAndGroup(EpochClient& client, const EpochEngineConfig& cfg,
 
 /// Initialize phase for one lane: the client stages under a guard pinned
 /// for the duration of the call. Scope exit unpins + unregisters, which
-/// ships any retires the staging buffered (flush-on-unpin).
+/// ships any retires the staging buffered (release ships every buffer).
 void initializeLane(DistDomain domain, EpochClient& client,
                     std::uint64_t epoch, std::vector<OpRecord>& ops) {
   auto guard = domain.pin();

@@ -27,12 +27,6 @@
 
 namespace pgasnb::detail {
 
-/// A retired object detached from its limbo node.
-struct ScatterEntry {
-  void* obj;
-  ObjectDeleter deleter;
-};
-
 /// One bucket of entries per destination locale.
 using ScatterBuckets = std::vector<std::vector<ScatterEntry>>;
 
@@ -63,11 +57,12 @@ void bulkDeleteScattered(const ScatterBuckets& buckets);
 /// clear(): reclaim everything regardless of the protocol's safety rule;
 /// the caller guarantees no concurrent use. Tasks are quiescent, but
 /// aggregated or per-op-AM retires may still be in flight: ship anything
-/// this task has buffered, then fence every AM queue (including this
+/// this task's aggregator holds, then fence every AM queue (including this
 /// locale's own -- other locales inject retires destined for us) so all of
 /// them have landed. Then every locale pops all it holds
-/// (`Impl::popAllRetired`, which counts and charges the pops) and bulk
-/// deletes.
+/// (`Impl::popAllRetired`, which counts and charges the pops; under EBR
+/// that includes the retires still buffered in its live tokens, task and
+/// progress-thread guards alike) and bulk deletes.
 template <typename Impl>
 void clearAll(Privatized<Impl> handle) {
   comm::taskAggregator().flushAll();
@@ -168,9 +163,11 @@ typename Domain::Guard& threadCachedGuard(const Domain& domain) {
 
 /// destroy(): clear, drop every progress thread's cached guard for the
 /// domain before the per-locale instances (and their token pools) die,
-/// then destroy the instances. The drop must traverse the AM queues --
-/// amProgressHandle, never amSync's local fast path -- because the cache
-/// lives on the progress thread, not on the task thread running destroy().
+/// then destroy the instances. Clearing first empties every cached guard's
+/// retire buffer, so the drop's unregistration has nothing to ship. The
+/// drop must traverse the AM queues -- amProgressHandle, never amSync's
+/// local fast path -- because the cache lives on the progress thread, not
+/// on the task thread running destroy().
 template <typename GuardT, typename Impl>
 void destroyInstances(Privatized<Impl>& handle) {
   clearAll(handle);

@@ -73,9 +73,9 @@ class BasicGuard {
   std::uint64_t epoch() const noexcept { return token_.epoch(); }
 
   /// Temporarily leave the epoch (e.g. between phases of a long task) and
-  /// re-enter it. pin() is idempotent. Unpinning flushes any buffered
-  /// cross-locale retires (aggregated-retire policy) before going
-  /// quiescent.
+  /// re-enter it. pin() is idempotent. Buffered cross-locale retires
+  /// (aggregated-retire policy) survive an unpin unless their batch has
+  /// aged past the aggregator's max batch age; see flush().
   void pin() { token_.pin(); }
   void unpin() { token_.unpin(); }
 
@@ -94,7 +94,9 @@ class BasicGuard {
 
   /// Ship any buffered cross-locale retires now (DistDomain aggregated
   /// policy; a no-op for LocalDomain). Happens automatically at batch
-  /// threshold, unpin(), release(), and tryReclaim().
+  /// threshold, at unpin() once the batch is older than
+  /// aggregator_max_batch_age_ns, at release(), and at tryReclaim();
+  /// clear() and destroy() reclaim whatever is still buffered.
   void flush() { token_.flush(); }
 
   /// Cross-locale retires buffered in this guard but not yet shipped.

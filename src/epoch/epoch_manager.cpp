@@ -100,6 +100,27 @@ void EpochManagerImpl::insertRemoteRetires(
               (entries.size() + 2));
 }
 
+void EpochManagerImpl::popAllRetired(detail::ScatterBuckets& buckets) {
+  for (std::uint32_t index = 0; index < kNumEpochs; ++index) {
+    scatterLimboList(index, buckets);
+  }
+  // Each bucket holds one destination's objects, so it moves wholesale
+  // into that destination's scatter bucket.
+  std::uint64_t buffered = 0;
+  for (Token* t = tokens_.allocatedHead(); t != nullptr;
+       t = t->next_allocated) {
+    for (std::uint32_t dest = 0; dest < t->pending_remote.size(); ++dest) {
+      auto& entries = t->pending_remote[dest].entries;
+      buffered += entries.size();
+      buckets[dest].insert(buckets[dest].end(), entries.begin(),
+                           entries.end());
+      entries.clear();
+    }
+  }
+  counters_.noteDeferred(buffered);
+  counters_.reclaimed.fetch_add(buffered, std::memory_order_relaxed);
+}
+
 void EpochManagerImpl::scatterLimboList(std::uint32_t index,
                                         detail::ScatterBuckets& buckets) {
   LimboNode* node = limbo_[index].popAll();
@@ -132,46 +153,69 @@ void EpochToken::deferDeleteRaw(void* obj, ObjectDeleter deleter) {
     });
     return;
   }
-  // Aggregated: buffer per destination, ship batches through the task's
-  // comm::Aggregator once the batch fills (or at unpin/release/tryReclaim).
-  if (pending_remote_.empty()) pending_remote_.resize(rt.numLocales());
-  auto& bucket = pending_remote_[owner];
-  bucket.push_back({obj, deleter});
+  // Aggregated: buffer per destination in the Token; a full bucket becomes
+  // one closure in the task's comm::Aggregator. Sub-threshold buckets wait
+  // across unpins (see EpochToken).
+  auto& pending = token_->pending_remote;
+  if (pending.empty()) pending.resize(rt.numLocales());
+  auto& bucket = pending[owner];
+  if (bucket.entries.empty()) bucket.oldest_ns = sim::now();
+  bucket.entries.push_back({obj, deleter});
   sim::chargeModelOnly(rt.config().latency.cpu_atomic_ns);
-  if (bucket.size() >= rt.config().retire_batch_size) enqueueBucket(owner);
+  if (bucket.entries.size() >= rt.config().retire_batch_size) {
+    enqueueBucket(owner);
+  }
 }
 
 void EpochToken::enqueueBucket(std::uint32_t dest) {
-  auto& bucket = pending_remote_[dest];
-  if (bucket.empty()) return;
-  const std::uint64_t weight = bucket.size();
+  auto& entries = token_->pending_remote[dest].entries;
+  if (entries.empty()) return;
+  const std::uint64_t weight = entries.size();
   auto handle = handle_;
   comm::taskAggregator().enqueue(
       dest,
-      [handle, entries = std::move(bucket)] {
-        handle.local().insertRemoteRetires(entries);
+      [handle, batch = std::move(entries)] {
+        handle.local().insertRemoteRetires(batch);
       },
       weight);
-  bucket.clear();  // moved-from: back to a known-empty state
+  entries.clear();  // moved-from: back to a known-empty state
+  enqueued_ = true;
+}
+
+void EpochToken::shipAged() {
+  auto& pending = token_->pending_remote;
+  if (pending.empty()) return;
+  checkHome();
+  const std::uint64_t max_age =
+      Runtime::get().config().aggregator_max_batch_age_ns;
+  if (max_age == 0) return;
+  const std::uint64_t now = sim::now();
+  for (std::uint32_t dest = 0; dest < pending.size(); ++dest) {
+    if (!pending[dest].entries.empty() &&
+        now - pending[dest].oldest_ns >= max_age) {
+      enqueueBucket(dest);
+    }
+  }
+}
+
+void EpochToken::shipEnqueued() {
+  if (!enqueued_) return;
+  checkHome();
+  // Push our closures onto the wire now, even when they are below the
+  // aggregator's own threshold: left in the worker's thread-local buffer
+  // they could wait until thread exit, where the destructor flush can land
+  // after the domain's instances are destroyed.
+  comm::taskAggregator().flushAll();
+  enqueued_ = false;
 }
 
 void EpochToken::flush() {
-  // A never-resized pending_remote_ means this token never routed a retire
-  // through the aggregated path: nothing of ours can be buffered anywhere.
-  if (token_ == nullptr || pending_remote_.empty()) return;
+  if (token_ == nullptr) return;
   checkHome();
-  for (std::uint32_t dest = 0; dest < pending_remote_.size(); ++dest) {
-    if (pending_remote_[dest].empty()) continue;
+  for (std::uint32_t dest = 0; dest < token_->pending_remote.size(); ++dest) {
     enqueueBucket(dest);
   }
-  // Push the batches onto the wire now -- UNCONDITIONALLY. Even when every
-  // bucket drained via the threshold path (retire count divisible by the
-  // batch size), those closures are still sitting in the task's aggregator
-  // below *its* threshold; skipping this flush strands them in the worker's
-  // thread-local buffer until thread exit, where the destructor flush can
-  // land after the domain's instances are destroyed. Flush-on-unpin means
-  // a quiescent guard leaves nothing buffered on this task, period.
-  comm::taskAggregator().flushAll();
+  shipEnqueued();
 }
 
 // ---------------------------------------------------------------------------

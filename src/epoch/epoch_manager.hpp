@@ -118,12 +118,11 @@ class EpochManagerImpl {
   /// keyed by owning locale; recycles the nodes.
   void scatterLimboList(std::uint32_t index, detail::ScatterBuckets& buckets);
 
-  /// clear(): pop every limbo list into `buckets` (detail::clearAll).
-  void popAllRetired(detail::ScatterBuckets& buckets) {
-    for (std::uint32_t index = 0; index < kNumEpochs; ++index) {
-      scatterLimboList(index, buckets);
-    }
-  }
+  /// clear(): pop every limbo list into `buckets` (detail::clearAll),
+  /// then move in every live token's not-yet-shipped cross-locale retires
+  /// -- task guards and progress-thread cached guards alike -- counted as
+  /// deferred and reclaimed here, with no AM.
+  void popAllRetired(detail::ScatterBuckets& buckets);
 
   // Fields are accessed directly by the reclaim driver in epoch_manager.cpp
   // and by white-box tests; this type is an implementation detail.
@@ -161,11 +160,15 @@ class DistDomain;
 /// RAII token handle (the paper wraps tokens in a managed class so scope
 /// exit unregisters them -- this is the C++ equivalent, which makes the
 /// `forall ... with (var tok = manager.acquireToken())` pattern safe).
-/// It also owns the task's aggregated-retire buffers: cross-locale retires
-/// coalesce here and ship through the comm::Aggregator in batches.
+/// It also drives the task's aggregated retires: cross-locale retires
+/// coalesce per destination in the Token's buffer and ship through the
+/// comm::Aggregator in batches. A buffer outlives unpin(); it ships when
+/// it fills, when its oldest entry passes the aggregator's max batch age
+/// (checked at unpin), at tryReclaim() and at release(). clear() and
+/// destroy() reclaim whatever is still buffered.
 ///
 /// A token is bound to the locale and OS thread that registered it: the
-/// underlying Token lives in that locale's pool, and buffered retires ride
+/// underlying Token lives in that locale's pool, and shipped batches ride
 /// the registering thread's thread-local aggregator. Moving it within the
 /// task is fine; retiring through it or flushing it from a different
 /// locale or thread is not (debug-checked).
@@ -179,9 +182,9 @@ class EpochToken {
     token_ = other.token_;
     home_ = other.home_;
     owner_thread_ = other.owner_thread_;
-    pending_remote_ = std::move(other.pending_remote_);
+    enqueued_ = other.enqueued_;
     other.token_ = nullptr;
-    other.pending_remote_.clear();
+    other.enqueued_ = false;
     return *this;
   }
   EpochToken(const EpochToken&) = delete;
@@ -192,13 +195,16 @@ class EpochToken {
   bool valid() const noexcept { return token_ != nullptr; }
 
   void pin() { handle_.local().pin(token_); }
-  /// Leave the epoch. First ships every buffered remote retire and drains
-  /// the task's comm::Aggregator -- flush-on-unpin is what guarantees an
-  /// aggregated retire cannot be stranded past its guard's lifetime.
+  /// Leave the epoch. Buffered retires stay buffered unless their oldest
+  /// entry has passed the aggregator's max batch age; if this token handed
+  /// the task's comm::Aggregator a batch since its last ship, the
+  /// aggregator is drained, so no retire closure outlives the unpin that
+  /// follows its enqueue.
   void unpin() {
     // No-op on an invalid (released/moved-from) token: already quiescent.
     if (token_ == nullptr) return;
-    flush();
+    shipAged();
+    shipEnqueued();
     handle_.local().unpin(token_);
   }
   /// An invalid (default-constructed or moved-from) token is quiescent.
@@ -223,13 +229,16 @@ class EpochToken {
   void deferDeleteRaw(void* obj, ObjectDeleter deleter);
 
   /// Ship buffered cross-locale retires now (normally automatic: batch
-  /// threshold, unpin, release, tryReclaim).
+  /// threshold, batch age at unpin, release, tryReclaim).
   void flush();
 
   /// Buffered-but-unshipped cross-locale retires (tests/diagnostics).
   std::size_t pendingRetires() const noexcept {
+    if (token_ == nullptr) return 0;
     std::size_t n = 0;
-    for (const auto& bucket : pending_remote_) n += bucket.size();
+    for (const auto& bucket : token_->pending_remote) {
+      n += bucket.entries.size();
+    }
     return n;
   }
 
@@ -261,11 +270,12 @@ class EpochToken {
   /// Internal: forget the underlying token WITHOUT unregistering it. Used
   /// by the progress-thread guard cache when the runtime (or the domain's
   /// privatized instances) died before the caching thread: the token pool
-  /// the Token lives in is already gone, so unregistering would be a
-  /// use-after-free; the Token's memory went down with the arena.
+  /// the Token lives in is already gone, so unregistering -- or touching
+  /// its retire buffer -- would be a use-after-free; the Token's memory
+  /// went down with the arena.
   void abandon() noexcept {
     token_ = nullptr;
-    pending_remote_.clear();
+    enqueued_ = false;
   }
 
  private:
@@ -276,12 +286,20 @@ class EpochToken {
         home_(Runtime::here()),
         owner_thread_(std::this_thread::get_id()) {}
 
+  /// Hand destination `dest`'s buffer to the task's aggregator as one
+  /// closure (it ships with the aggregator's next flush).
   void enqueueBucket(std::uint32_t dest);
+  /// Enqueue every bucket whose oldest entry has passed the aggregator's
+  /// max batch age (RuntimeConfig::aggregator_max_batch_age_ns; 0 = never).
+  void shipAged();
+  /// Drain the task's aggregator iff this token enqueued a closure since
+  /// its last ship.
+  void shipEnqueued();
   /// The token must be used on its registering locale AND OS thread:
-  /// handle_.local() resolves per-calling-locale, and threshold-shipped
-  /// batch closures live in the *enqueueing thread's* thread-local
-  /// aggregator -- flushing from another thread drains the wrong buffer
-  /// and strands the batches past the domain's lifetime.
+  /// handle_.local() resolves per-calling-locale, and enqueued batch
+  /// closures live in the *enqueueing thread's* thread-local aggregator --
+  /// flushing from another thread drains the wrong buffer and strands the
+  /// batches past the domain's lifetime.
   void checkHome() const {
     PGASNB_DCHECK(Runtime::here() == home_);
     PGASNB_DCHECK(std::this_thread::get_id() == owner_thread_);
@@ -291,8 +309,8 @@ class EpochToken {
   Token* token_ = nullptr;
   std::uint32_t home_ = 0;                ///< registering locale
   std::thread::id owner_thread_;          ///< registering OS thread
-  /// Aggregated-retire buffers, one per destination locale (lazily sized).
-  detail::ScatterBuckets pending_remote_;
+  /// A closure of ours sits in the task's aggregator (not yet flushed).
+  bool enqueued_ = false;
 };
 
 }  // namespace pgasnb

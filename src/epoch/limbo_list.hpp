@@ -50,6 +50,13 @@ struct LimboNode {
 };
 
 namespace detail {
+/// A retired object detached from its limbo node (scatter buckets, and the
+/// cross-locale retires a distributed token buffers before shipping).
+struct ScatterEntry {
+  void* obj;
+  ObjectDeleter deleter;
+};
+
 /// Sentinel marking a node whose `next` has not been linked yet.
 inline LimboNode* unlinkedSentinel() noexcept {
   return reinterpret_cast<LimboNode*>(std::uintptr_t{1});

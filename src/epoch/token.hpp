@@ -12,8 +12,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <vector>
 
 #include "atomic/local_atomic_object.hpp"
+#include "epoch/limbo_list.hpp"
 #include "util/cache_line.hpp"
 #include "util/check.hpp"
 
@@ -63,6 +65,14 @@ inline constexpr std::uint32_t reclaimIndexFor(std::uint64_t new_epoch) noexcept
   return static_cast<std::uint32_t>(new_epoch % kNumEpochs);
 }
 
+namespace detail {
+/// Cross-locale retires buffered for one destination locale.
+struct RetireBucket {
+  std::vector<ScatterEntry> entries;
+  std::uint64_t oldest_ns = 0;  ///< simulated time of the first entry
+};
+}  // namespace detail
+
 struct alignas(kCacheLineSize) Token {
   /// The epoch this task is pinned in (0 = quiescent). Written by the owner
   /// task, read by the advance scan running on the same locale, so plain
@@ -84,6 +94,14 @@ struct alignas(kCacheLineSize) Token {
   /// enough -- the ABA CAS provides the ordering, this just keeps the
   /// race defined.
   std::atomic<Token*> next_free{nullptr};
+
+  /// Distributed EBR's aggregated retire policy (epoch/epoch_manager.hpp):
+  /// the holder's not-yet-shipped cross-locale retires, one bucket per
+  /// destination locale (empty until the first such retire). They live on
+  /// the pool's Token rather than in the holder's handle so clear() can
+  /// reach every live token's buffer by walking the allocated list. Only
+  /// the holder touches them, except clear() at a quiescent point.
+  std::vector<detail::RetireBucket> pending_remote;
 
   bool pinned() const noexcept {
     return local_epoch.load(std::memory_order_relaxed) != kEpochQuiescent;

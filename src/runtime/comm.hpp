@@ -515,8 +515,8 @@ void get(void* dst, std::uint32_t src_locale, const void* src, std::size_t bytes
 /// RuntimeConfig::aggregator_max_batch_age_ns in simulated time (checked
 /// at each enqueue -- an under-filled bucket no longer waits for unpin),
 /// on flush()/flushAll()/flushAged(), on destruction, and -- via the epoch
-/// layer -- when a guard unpins. Ops destined for the calling locale run
-/// inline.
+/// layer -- when a guard that handed it a retire batch unpins. Ops
+/// destined for the calling locale run inline.
 class Aggregator {
  public:
   Aggregator() = default;
@@ -612,7 +612,8 @@ class Aggregator {
 };
 
 /// The calling task's aggregator (thread-local). The epoch layer drains it
-/// on guard unpin/release, so retires routed through it cannot be stranded;
+/// at the unpin/release that follows a guard's retire batch, so retires
+/// routed through it cannot be stranded;
 /// Handle::wait / CompletionQueue drains / OpWindow close flush it too, so
 /// aggregated handles joined on the issuing task cannot be stranded either.
 Aggregator& taskAggregator();

@@ -56,8 +56,8 @@ struct RuntimeConfig {
   /// scheme supports up to 2^16; see atomic/pointer_compression.hpp.
   std::uint32_t num_locales = 4;
 
-  /// Worker threads per locale servicing `on`/`coforall` tasks. Waiting
-  /// tasks help-execute queued work for their own locale, so 1 is deadlock
+  /// Worker threads per locale servicing `on`/`coforall` tasks. A waiting
+  /// task runs its own not-yet-started children inline, so 1 is deadlock
   /// free; 2 is the default to let reclamation overlap with mutators.
   std::uint32_t workers_per_locale = 2;
 
@@ -82,7 +82,9 @@ struct RuntimeConfig {
   /// comm::Aggregator age flush: an under-filled bucket ships once its
   /// oldest buffered op is this many *simulated* nanoseconds old (checked
   /// at each enqueue and on flushAged()), instead of waiting for
-  /// batch-full/unpin. 0 disables age-based flushing.
+  /// batch-full. A DistDomain guard applies the same cutoff to its
+  /// aggregated-retire buffers at each unpin. 0 disables age-based
+  /// flushing.
   std::uint64_t aggregator_max_batch_age_ns = 100'000;
 
   LatencyModel latency{};

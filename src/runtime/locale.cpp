@@ -43,8 +43,8 @@ void Locale::workerLoop() {
   TaskItem item;
   for (;;) {
     if (task_queue_.popOrWaitFor(item, stop_, kIdleFallback)) {
-      executeTaskInline(item);
-      item = TaskItem{};  // release closure state before blocking
+      tryRunTask(*item);  // skips a task its group's wait() already ran
+      item.reset();
     } else if (stop_.load(std::memory_order_acquire)) {
       return;  // stopped and the queue is drained
     }

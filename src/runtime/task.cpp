@@ -17,14 +17,6 @@ void TaskQueue::push(TaskItem&& item) {
   cv_.notify_one();
 }
 
-bool TaskQueue::tryPop(TaskItem& out) {
-  std::lock_guard<std::mutex> guard(lock_);
-  if (queue_.empty()) return false;
-  out = std::move(queue_.front());
-  queue_.pop_front();
-  return true;
-}
-
 bool TaskQueue::popOrWaitFor(TaskItem& out, const std::atomic<bool>& stop,
                              std::chrono::microseconds slice) {
   std::unique_lock<std::mutex> guard(lock_);
@@ -53,19 +45,21 @@ std::size_t TaskQueue::sizeApprox() const {
   return queue_.size();
 }
 
-void executeTaskInline(TaskItem& item) {
+bool tryRunTask(TaskState& task) {
+  if (task.claimed.exchange(true, std::memory_order_acq_rel)) return false;
   TaskContext saved = taskContext();
-  taskContext().here = item.locale;
-  taskContext().sim_now = item.start_time;
+  taskContext().here = task.locale;
+  taskContext().sim_now = task.start_time;
   try {
-    item.fn();
+    task.fn();
   } catch (...) {
-    item.state->error = std::current_exception();
+    task.error = std::current_exception();
   }
-  item.state->end_time = sim::now();
-  item.state->locale = item.locale;
-  item.state->done.store(true, std::memory_order_release);
+  task.fn = nullptr;  // release closure state before the join sees done
+  task.end_time = sim::now();
+  task.done.store(true, std::memory_order_release);
   taskContext() = saved;
+  return true;
 }
 
 TaskGroup::~TaskGroup() {
@@ -83,16 +77,14 @@ void TaskGroup::spawnOn(std::uint32_t loc, std::function<void()> fn) {
   PGASNB_CHECK_MSG(loc < rt.numLocales(), "spawnOn: locale out of range");
   const LatencyModel& lat = rt.config().latency;
   auto state = std::make_shared<TaskState>();
-
-  TaskItem item;
-  item.fn = std::move(fn);
-  item.locale = loc;
-  item.state = state;
+  state->fn = std::move(fn);
+  state->locale = loc;
   const bool remote = loc != Runtime::here();
-  item.start_time = sim::now() + (remote ? lat.am_wire_ns + lat.remote_task_spawn_ns
-                                         : lat.local_task_spawn_ns);
-  states_.push_back(std::move(state));
-  rt.taskQueue(loc).push(std::move(item));
+  state->start_time =
+      sim::now() + (remote ? lat.am_wire_ns + lat.remote_task_spawn_ns
+                           : lat.local_task_spawn_ns);
+  states_.push_back(state);
+  rt.taskQueue(loc).push(std::move(state));
   waited_ = false;
 }
 
@@ -103,8 +95,8 @@ void TaskGroup::wait() {
   const LatencyModel& lat = rt.config().latency;
   const std::uint32_t my_locale = Runtime::here();
 
-  // Join with helping: while any child is outstanding, execute queued tasks
-  // (own locale first, then round-robin) instead of blocking the thread.
+  // Join with helping: while any child is outstanding, run our own
+  // children that no worker has claimed yet instead of blocking the thread.
   std::size_t next_unfinished = 0;
   Backoff backoff;
   while (true) {
@@ -114,16 +106,13 @@ void TaskGroup::wait() {
     }
     if (next_unfinished == states_.size()) break;
 
-    TaskItem stolen;
-    bool found = rt.taskQueue(my_locale).tryPop(stolen);
-    if (!found) {
-      for (std::uint32_t l = 0; l < rt.numLocales() && !found; ++l) {
-        if (l == my_locale) continue;
-        found = rt.taskQueue(l).tryPop(stolen);
-      }
+    bool ran = false;
+    for (std::size_t i = next_unfinished; i < states_.size() && !ran; ++i) {
+      TaskState& child = *states_[i];
+      ran = !child.claimed.load(std::memory_order_relaxed) &&
+            tryRunTask(child);
     }
-    if (found) {
-      executeTaskInline(stolen);
+    if (ran) {
       backoff.reset();
     } else {
       backoff.pause();

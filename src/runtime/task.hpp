@@ -8,9 +8,12 @@
 //   * coforallHere(n, f)    - n tasks on the current locale
 //
 // Each locale has a small pool of persistent worker threads. A blocked
-// TaskGroup::wait() *helps*: it steals queued tasks (own locale first) and
-// executes them inline, so nested coforalls can never deadlock regardless of
-// pool size, and the two physical cores stay busy.
+// TaskGroup::wait() *helps*: it claims its own children that no worker has
+// started yet and runs them inline, so nested coforalls can never deadlock
+// regardless of pool size. It never runs another group's task: a waiter
+// that did would hold its own caller up for that task's whole length (a
+// client's reclamation scan running another client inline, while holding
+// the global election flag, stalls every other reclaimer).
 //
 // Simulated time: a child task starts at parent_now + spawn cost (+ wire if
 // cross-locale) and the join folds max(child end + return wire) back into
@@ -31,24 +34,23 @@
 
 namespace pgasnb {
 
+/// One spawned task. Its locale's queue and its group both hold it; the
+/// first to claim it runs it.
 struct TaskState {
+  std::function<void()> fn;  // released once the task has run
+  std::uint64_t start_time = 0;
+  std::uint32_t locale = 0;
+  std::atomic<bool> claimed{false};
   std::atomic<bool> done{false};
   std::uint64_t end_time = 0;  // valid once done is true (release/acquire)
-  std::uint32_t locale = 0;
   std::exception_ptr error;
 };
 
-struct TaskItem {
-  std::function<void()> fn;
-  std::uint64_t start_time = 0;
-  std::uint32_t locale = 0;
-  std::shared_ptr<TaskState> state;
-};
+using TaskItem = std::shared_ptr<TaskState>;
 
 class TaskQueue {
  public:
   void push(TaskItem&& item);
-  bool tryPop(TaskItem& out);
   /// Bounded blocking pop: parks at most `slice`, woken early by pushes or
   /// stop. Returns false whenever nothing was popped (timeout or stop); the
   /// caller inspects its own conditions.
@@ -63,9 +65,10 @@ class TaskQueue {
   std::deque<TaskItem> queue_;
 };
 
-/// Executes a task item on the calling thread, impersonating the task's
-/// locale and clock, then restores the caller's context.
-void executeTaskInline(TaskItem& item);
+/// Claims `task` and runs it on the calling thread, impersonating the
+/// task's locale and clock, then restores the caller's context. Returns
+/// false, running nothing, if another thread claimed it first.
+bool tryRunTask(TaskState& task);
 
 /// Handle to a set of spawned tasks; join point with helping.
 class TaskGroup {
@@ -86,7 +89,7 @@ class TaskGroup {
   bool empty() const { return states_.empty(); }
 
  private:
-  std::vector<std::shared_ptr<TaskState>> states_;
+  std::vector<TaskItem> states_;
   bool waited_ = false;
 };
 

@@ -2,7 +2,8 @@
 // combinators (whenAll/waitAll, CompletionQueue drain), the
 // ProgressThread's FIFO busy_until model, the per-task Aggregator (flush
 // ordering, threshold/age flush, handle groups, counters), the aggregated
-// cross-locale retire path including flush-on-guard-unpin, and the
+// cross-locale retire path (buffers that outlive unpin, their age cutoff,
+// and clear() reaching every live guard's buffer), and the
 // operation-shipped async DistStack ops (popAsync under the
 // progress-thread guard cache, aggregated pushes and pops).
 #include <gtest/gtest.h>
@@ -352,7 +353,7 @@ TEST_F(CommAsyncTest, AggregatorDestructorFlushes) {
 
 // --- aggregated cross-locale retires ---------------------------------------
 
-TEST_F(CommAsyncTest, GuardUnpinFlushesBufferedRetires) {
+TEST_F(CommAsyncTest, GuardUnpinKeepsSubBatchRetiresUntilTryReclaim) {
   RuntimeConfig cfg = testConfig(2);
   cfg.remote_retire = RemoteRetirePolicy::aggregated;
   runtime_ = std::make_unique<Runtime>(cfg);
@@ -362,23 +363,102 @@ TEST_F(CommAsyncTest, GuardUnpinFlushesBufferedRetires) {
     guard.pin();
     guard.retire(gnewOn<Tracked>(1));
     guard.retire(gnewOn<Tracked>(1));
-    // Still buffered in the guard: nothing deferred anywhere yet.
+    guard.unpin();
+    // A sub-threshold, young bucket outlives the unpin: nothing shipped,
+    // nothing deferred anywhere yet.
     EXPECT_EQ(guard.pendingRetires(), 2u);
     EXPECT_EQ(domain.stats().deferred, 0u);
     const comm::Counters before = comm::counters();
-    guard.unpin();
-    EXPECT_EQ(guard.pendingRetires(), 0u) << "unpin must flush";
+    guard.tryReclaim();
+    EXPECT_EQ(guard.pendingRetires(), 0u) << "tryReclaim must ship";
     // One shipped closure carries both retires: ops_aggregated counts the
     // closure's weight, not the closure.
     EXPECT_EQ(comm::counters().ops_aggregated - before.ops_aggregated, 2u);
     comm::amSync(1, [] {});  // FIFO drain of the batched AM
     EXPECT_EQ(domain.stats().deferred, 2u)
-        << "flushed retires land in the owner's limbo list";
+        << "shipped retires land in the owner's limbo list";
     EXPECT_GE(comm::counters().am_batched, 1u);
   }
   EXPECT_EQ(Tracked::live.load(), 2) << "retire defers, never frees eagerly";
   domain.clear();
   EXPECT_EQ(Tracked::live.load(), 0);
+  domain.destroy();
+}
+
+TEST_F(CommAsyncTest, GuardUnpinShipsRetiresOlderThanTheBatchAge) {
+  RuntimeConfig cfg = testConfig(2);
+  cfg.remote_retire = RemoteRetirePolicy::aggregated;
+  cfg.aggregator_max_batch_age_ns = 1000;
+  runtime_ = std::make_unique<Runtime>(cfg);
+  DistDomain domain = DistDomain::create();
+  {
+    auto guard = domain.attach();
+    guard.pin();
+    guard.retire(gnewOn<Tracked>(1));
+    guard.unpin();
+    EXPECT_EQ(guard.pendingRetires(), 1u) << "young bucket stays buffered";
+    guard.pin();
+    sim::setNow(sim::now() + 2000);  // age the bucket past the knob
+    EXPECT_EQ(guard.pendingRetires(), 1u) << "only unpin checks the age";
+    guard.unpin();
+    EXPECT_EQ(guard.pendingRetires(), 0u) << "aged bucket ships at unpin";
+    EXPECT_EQ(comm::counters().am_batched, 1u);
+    comm::amSync(1, [] {});
+    EXPECT_EQ(domain.stats().deferred, 1u);
+  }
+  domain.clear();
+  EXPECT_EQ(Tracked::live.load(), 0);
+  domain.destroy();
+}
+
+TEST_F(CommAsyncTest, ClearReclaimsALiveGuardsBufferOnce) {
+  RuntimeConfig cfg = testConfig(2);
+  cfg.remote_retire = RemoteRetirePolicy::aggregated;
+  runtime_ = std::make_unique<Runtime>(cfg);
+  DistDomain domain = DistDomain::create();
+  auto guard = domain.attach();
+  guard.pin();
+  for (int i = 0; i < 3; ++i) guard.retire(gnewOn<Tracked>(1));
+  guard.unpin();
+  ASSERT_EQ(guard.pendingRetires(), 3u);
+  domain.clear();
+  EXPECT_EQ(Tracked::live.load(), 0) << "clear() reaches the live buffer";
+  EXPECT_EQ(guard.pendingRetires(), 0u);
+  const ReclaimStats s = domain.stats();
+  EXPECT_EQ(s.deferred, 3u);
+  EXPECT_EQ(s.reclaimed, 3u);
+  guard.release();  // must ship nothing: the buffer went to clear()
+  comm::quiesceAmQueues();
+  EXPECT_EQ(Tracked::live.load(), 0);
+  EXPECT_EQ(domain.stats().deferred, 3u);
+  domain.destroy();
+}
+
+TEST_F(CommAsyncTest, ClearReachesRetiresBufferedInHandlerGuards) {
+  // popAsync's handler pops on the stack's home locale under that
+  // progress thread's cached guard and retires a node owned by another
+  // locale: the retire sits in the cached guard's buffer, which only
+  // clear() can reach.
+  RuntimeConfig cfg = testConfig(3);
+  cfg.remote_retire = RemoteRetirePolicy::aggregated;
+  runtime_ = std::make_unique<Runtime>(cfg);
+  DistDomain domain = DistDomain::create();
+  auto* stack = DistStack<std::uint64_t>::create(domain, /*home=*/0);
+  onLocale(2, [domain, stack] {
+    auto guard = domain.pin();
+    for (std::uint64_t i = 0; i < 10; ++i) stack->push(guard, i);
+  });
+  onLocale(1, [domain, stack] {
+    auto guard = domain.pin();
+    for (int i = 0; i < 10; ++i) {
+      EXPECT_TRUE(stack->popAsync(guard).value().has_value());
+    }
+  });
+  domain.clear();
+  const ReclaimStats s = domain.stats();
+  EXPECT_EQ(s.deferred, 10u);
+  EXPECT_EQ(s.reclaimed, s.deferred);
+  DistStack<std::uint64_t>::destroy(stack);
   domain.destroy();
 }
 

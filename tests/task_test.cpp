@@ -4,6 +4,7 @@
 #include <atomic>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "test_support.hpp"
@@ -48,6 +49,33 @@ TEST_F(TaskTest, NestedCoforallDoesNotDeadlock) {
     coforallLocales([&inner_count] { inner_count.fetch_add(1); });
   });
   EXPECT_EQ(inner_count.load(), 16);
+}
+
+TEST_F(TaskTest, WaitRunsOnlyItsOwnChildren) {
+  // A waiter that ran an unrelated queued task inline would hold its own
+  // caller up for that task's whole length.
+  startRuntime(2, CommMode::none, 1);
+  std::atomic<bool> busy{false};
+  std::atomic<bool> release{false};
+  TaskGroup occupier;
+  occupier.spawnOn(1, [&busy, &release] {
+    busy.store(true);
+    while (!release.load()) std::this_thread::yield();
+  });
+  while (!busy.load()) std::this_thread::yield();  // locale 1's worker is held
+  std::atomic<bool> unrelated_ran{false};
+  TaskGroup unrelated;
+  unrelated.spawnOn(1, [&unrelated_ran] { unrelated_ran.store(true); });
+  std::atomic<bool> child_ran{false};
+  TaskGroup group;
+  group.spawnOn(1, [&child_ran] { child_ran.store(true); });
+  group.wait();
+  EXPECT_TRUE(child_ran.load());
+  EXPECT_FALSE(unrelated_ran.load()) << "wait() ran another group's task";
+  release.store(true);
+  occupier.wait();
+  unrelated.wait();
+  EXPECT_TRUE(unrelated_ran.load());
 }
 
 TEST_F(TaskTest, CoforallHerePassesTaskIds) {
